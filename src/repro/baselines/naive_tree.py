@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.errors import PlanError
-from repro.exec.base import Env, ExecContext, PhysicalOperator, dedupe
+from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.exec.kleene import MaterializeKleene
 from repro.exec.and_or import SortMergeAnd
 from repro.lang.query import Query
@@ -51,17 +51,21 @@ class NestedLoopAnd(SortMergeAnd):
         if sp.is_empty():
             return
 
-        def generate() -> Iterator[Segment]:
-            lefts = list(self.left.eval(ctx, sp, refs))
-            rights = list(self.right.eval(ctx, sp, refs))
-            for left in lefts:
-                for right in rights:
-                    ctx.tick()
-                    ctx.stats["nested_loop_pairs"] += 1
-                    if left.bounds == right.bounds:
-                        yield from self._join(ctx, sp, left, right)
-
-        yield from dedupe(generate())
+        lefts = list(self.left.eval(ctx, sp, refs))
+        rights = list(self.right.eval(ctx, sp, refs))
+        seen = set()
+        for left in lefts:
+            for right in rights:
+                ctx.tick()
+                ctx.stats["nested_loop_pairs"] += 1
+                if left.bounds != right.bounds or not self.window.accepts(
+                        ctx.series, left.start, left.end):
+                    continue
+                joined = self.emit(left.with_payload(right.payload))
+                if joined not in seen:
+                    seen.add(joined)
+                    ctx.stats["segments_emitted"] += 1
+                    yield joined
 
 
 class _NaiveConstruction(Construction):

@@ -6,21 +6,25 @@ space to the exact segment produced by the other child — the paper's key
 pruning device for conjunctions (e.g. DIFF pruning DOWN).
 
 An ``Or`` unions both children's emissions; no probe variant exists.
+
+The sort-merge variants hold both children as start -> end-set adjacency
+and intersect (And) or union (Or) the end-sets of each start in one set
+operation (docs/VECTORIZATION.md, "Past the leaf").
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, Set
 
-from repro.exec.base import (Env, ExecContext, PhysicalOperator, dedupe,
-                             refs_key)
+from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
+                             adjacency, merged_key, projected_key)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
 
 
-class _BinaryAnd(PhysicalOperator):
+class _Binary(PhysicalOperator):
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  window: WindowConjunction,
                  publish: FrozenSet[str] = frozenset(),
@@ -32,23 +36,8 @@ class _BinaryAnd(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _join(self, ctx: ExecContext, sp: SearchSpace, left: Segment,
-              right: Segment) -> Iterator[Segment]:
-        # Called once per candidate pair: the probe variants' inner
-        # loops make no other tick progress between candidates.
-        ctx.tick()
-        # Bounds already equal by construction; re-check space and window.
-        if not sp.contains(left.start, left.end):
-            return
-        if not self.window.accepts(ctx.series, left.start, left.end):
-            return
-        payload = dict(left.payload)
-        payload.update(right.payload)
-        ctx.stats["segments_emitted"] += 1
-        yield self.emit(Segment(left.start, left.end, payload))
 
-
-class SortMergeAnd(_BinaryAnd):
+class SortMergeAnd(_Binary):
     """Evaluate both children once, join segments with identical bounds."""
 
     name = "SortMergeAnd"
@@ -59,109 +48,74 @@ class SortMergeAnd(_BinaryAnd):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
+        lefts = adjacency(ctx, self.left.eval(ctx, sp, refs), self.publish)
+        if not lefts:
+            return  # early termination
+        rights = adjacency(ctx, self.right.eval(ctx, sp, refs), self.publish)
 
-        def generate() -> Iterator[Segment]:
-            by_bounds: Dict[Tuple[int, int], List[Segment]] = defaultdict(list)
-            for left in self.left.eval(ctx, sp, refs):
-                ctx.tick()
-                if ctx.segment_budget is not None:
-                    ctx.charge()
-                by_bounds[left.bounds].append(left)
-            if not by_bounds:
-                return  # early termination
-            for right in self.right.eval(ctx, sp, refs):
-                ctx.tick()
-                for left in by_bounds.get(right.bounds, ()):
-                    yield from self._join(ctx, sp, left, right)
+        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
+            reach = defaultdict(set)
+            for lkey, ends in lefts[start].items():
+                for rkey, same in rights[start].items():
+                    ctx.tick()
+                    reach[merged_key(lkey, rkey)] |= ends & same
+            return reach
 
-        yield from dedupe(generate())
+        yield from self.emit_starts(ctx, sp, lefts.keys() & rights.keys(),
+                                    reach_of)
 
 
-class RightProbeAnd(_BinaryAnd):
+class _ProbeAnd(_Binary):
+    """Enumerate one child; probe the other with the exact segment."""
+
+    def _probe_and(self, ctx: ExecContext, sp: SearchSpace, refs: Env,
+                   driver: PhysicalOperator,
+                   probed: PhysicalOperator) -> Iterator[Segment]:
+        self.check_refs(refs)
+        sp = sp.clamp(len(ctx.series))
+        if sp.is_empty():
+            return
+        seen = set()
+        for anchor in driver.eval(ctx, sp, refs):
+            ctx.tick()
+            found = self.probe(ctx, probed, SearchSpace.exact(
+                anchor.start, anchor.end), refs, anchor)
+            # The exact probe pins the bounds but not this operator's
+            # own window, which the driver never saw.
+            if not found or not self.window.accepts(
+                    ctx.series, anchor.start, anchor.end):
+                continue
+            akey = projected_key(anchor, self.publish)
+            yield from self.emit_fresh(ctx, seen, {
+                (anchor.start, anchor.end,
+                 merged_key(akey, projected_key(other, self.publish)))
+                for other in found})
+
+
+class RightProbeAnd(_ProbeAnd):
     """Enumerate the left child; probe the right with the exact segment."""
 
     name = "RightProbeAnd"
 
     def eval(self, ctx: ExecContext, sp: SearchSpace,
              refs: Env) -> Iterator[Segment]:
-        self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-
-        def generate() -> Iterator[Segment]:
-            needed = self.right.requires
-            for left in self.left.eval(ctx, sp, refs):
-                ctx.tick()
-                probe = SearchSpace.exact(left.start, left.end)
-                child_refs = dict(refs)
-                child_refs.update(left.payload)
-                key = (self.right.op_id, probe, refs_key(child_refs, needed))
-                rights = ctx.probe_cache_get(key)
-                if rights is None:
-                    ctx.stats["probe_calls"] += 1
-                    ctx.count(self, "probe_cache_misses")
-                    rights = list(self.right.eval(ctx, probe, child_refs))
-                    ctx.probe_cache_put(key, rights)
-                else:
-                    ctx.stats["probe_cache_hits"] += 1
-                    ctx.count(self, "probe_cache_hits")
-                for right in rights:
-                    yield from self._join(ctx, sp, left, right)
-
-        yield from dedupe(generate())
+        return self._probe_and(ctx, sp, refs, self.left, self.right)
 
 
-class LeftProbeAnd(_BinaryAnd):
+class LeftProbeAnd(_ProbeAnd):
     """Enumerate the right child; probe the left with the exact segment."""
 
     name = "LeftProbeAnd"
 
     def eval(self, ctx: ExecContext, sp: SearchSpace,
              refs: Env) -> Iterator[Segment]:
-        self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-
-        def generate() -> Iterator[Segment]:
-            needed = self.left.requires
-            for right in self.right.eval(ctx, sp, refs):
-                ctx.tick()
-                probe = SearchSpace.exact(right.start, right.end)
-                child_refs = dict(refs)
-                child_refs.update(right.payload)
-                key = (self.left.op_id, probe, refs_key(child_refs, needed))
-                lefts = ctx.probe_cache_get(key)
-                if lefts is None:
-                    ctx.stats["probe_calls"] += 1
-                    ctx.count(self, "probe_cache_misses")
-                    lefts = list(self.left.eval(ctx, probe, child_refs))
-                    ctx.probe_cache_put(key, lefts)
-                else:
-                    ctx.stats["probe_cache_hits"] += 1
-                    ctx.count(self, "probe_cache_hits")
-                for left in lefts:
-                    yield from self._join(ctx, sp, right, left)
-
-        yield from dedupe(generate())
+        return self._probe_and(ctx, sp, refs, self.right, self.left)
 
 
-class SortMergeOr(PhysicalOperator):
+class SortMergeOr(_Binary):
     """Union of both children's matches within the search space."""
 
     name = "SortMergeOr"
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 window: WindowConjunction,
-                 publish: FrozenSet[str] = frozenset(),
-                 requires: FrozenSet[str] = frozenset()):
-        super().__init__(window, publish=publish, requires=requires)
-        self.left = left
-        self.right = right
-
-    def children(self):
-        return (self.left, self.right)
 
     def eval(self, ctx: ExecContext, sp: SearchSpace,
              refs: Env) -> Iterator[Segment]:
@@ -169,15 +123,16 @@ class SortMergeOr(PhysicalOperator):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
+        sides = [adjacency(ctx, child.eval(ctx, sp, refs), self.publish)
+                 for child in (self.left, self.right)]
 
-        def generate() -> Iterator[Segment]:
-            for child in (self.left, self.right):
-                for segment in child.eval(ctx, sp, refs):
+        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
+            reach = defaultdict(set)
+            for side in sides:
+                for key, ends in side.get(start, {}).items():
                     ctx.tick()
-                    if not self.window.accepts(ctx.series, segment.start,
-                                               segment.end):
-                        continue
-                    ctx.stats["segments_emitted"] += 1
-                    yield self.emit(segment)
+                    reach[key] |= ends
+            return reach
 
-        yield from dedupe(generate())
+        yield from self.emit_starts(ctx, sp, sides[0].keys() | sides[1].keys(),
+                                    reach_of)

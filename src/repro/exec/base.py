@@ -16,9 +16,10 @@ import functools
 import itertools
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
+                    Iterator, List, Optional, Sequence, Set, Tuple)
 
 from repro.aggregates.base import Aggregate, AggregateIndex
 from repro.aggregates.registry import DEFAULT_REGISTRY, AggregateRegistry
@@ -36,6 +37,13 @@ if TYPE_CHECKING:
     from repro.exec.metrics import RunMetrics
 
 Env = Dict[str, Tuple[int, int]]
+
+#: Canonical hashable payload (``Segment.payload_key``); ``()`` when empty.
+PayloadKey = Tuple[Tuple[str, Tuple[int, int]], ...]
+
+#: How the join stage holds a child's segments: start -> payload key ->
+#: end positions.  Payload-free segments all share the degenerate key ``()``.
+Adjacency = Dict[int, Dict[PayloadKey, Set[int]]]
 
 _op_ids = itertools.count()
 
@@ -303,6 +311,78 @@ class PhysicalOperator(ABC):
         """Project the payload to what consumers above still need."""
         return segment.project_payload(self.publish)
 
+    def emit_starts(self, ctx: ExecContext, sp: SearchSpace,
+                    starts: Iterable[int],
+                    reach_of: Callable[[int, int], Dict[PayloadKey, Set[int]]]
+                    ) -> Iterator[Segment]:
+        """The join stage's emission loop: one step per distinct start.
+
+        ``reach_of(start, e_hi)`` returns payload key -> candidate ends for
+        one start.  The embedded window and the search space are applied
+        once per start, as an ``[e_lo, e_hi]`` clip (``end_range`` is exact
+        for point and time windows); a start whose clip is empty is never
+        expanded.  Every ``(start, end, payload)`` is built and yielded
+        exactly once, in sorted order, so emission never depends on set
+        layout.
+        """
+        tick, stats, series = ctx.tick, ctx.stats, ctx.series
+        end_range = self.window.end_range
+        for start in sorted(starts):
+            tick()
+            if not sp.s_lo <= start <= sp.s_hi:
+                continue
+            e_lo, e_hi = end_range(series, start)
+            e_lo, e_hi = max(e_lo, sp.e_lo), min(e_hi, sp.e_hi)
+            if e_lo > e_hi:
+                continue
+            reach = reach_of(start, e_hi)
+            for key in sorted(reach) if len(reach) > 1 else reach:
+                payload = dict(key) if key else None
+                ends = sorted(reach[key])
+                if ends and (ends[0] < e_lo or ends[-1] > e_hi):
+                    ends = ends[bisect_left(ends, e_lo):
+                                bisect_right(ends, e_hi)]
+                for end in ends:
+                    tick()
+                    stats["segments_emitted"] += 1
+                    yield Segment(start, end, payload)
+
+    def emit_fresh(self, ctx: ExecContext,
+                   seen: Set[Tuple[int, int, PayloadKey]],
+                   found: Set[Tuple[int, int, PayloadKey]]
+                   ) -> Iterator[Segment]:
+        """Yield the ``(start, end, payload key)`` triples of ``found``
+        this operator has not emitted yet, recording them in ``seen``.
+
+        The streaming (probe) operators' counterpart of
+        :meth:`emit_starts`: their probe space already enforces window and
+        search space, so only cross-probe duplicates remain to drop.
+        """
+        fresh = found - seen
+        seen |= fresh
+        for start, end, key in sorted(fresh):
+            ctx.tick()
+            ctx.stats["segments_emitted"] += 1
+            yield Segment(start, end, dict(key))
+
+    def probe(self, ctx: ExecContext, child: "PhysicalOperator",
+              space: SearchSpace, refs: Env, anchor: Segment) -> List[Segment]:
+        """``child``'s matches in ``space`` given ``anchor``'s bindings,
+        memoized per (space, needed refs) on the context."""
+        child_refs = dict(refs)
+        child_refs.update(anchor.payload)
+        key = (child.op_id, space, refs_key(child_refs, child.requires))
+        found = ctx.probe_cache_get(key)
+        if found is None:
+            ctx.stats["probe_calls"] += 1
+            ctx.count(self, "probe_cache_misses")
+            found = list(child.eval(ctx, space, child_refs))
+            ctx.probe_cache_put(key, found)
+        else:
+            ctx.stats["probe_cache_hits"] += 1
+            ctx.count(self, "probe_cache_hits")
+        return found
+
     # trex: no-tick(EXPLAIN rendering is bounded by plan size)
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -333,12 +413,43 @@ class PhysicalOperator(ABC):
         return f"<{self.describe()}>"
 
 
-# trex: no-tick(drains generators whose own hot loops already tick)
-def dedupe(segments: Iterator[Segment]) -> Iterator[Segment]:
-    """Drop duplicate (bounds, payload) emissions."""
-    seen = set()
+def projected_key(segment: Segment, keep: FrozenSet[str]) -> PayloadKey:
+    """Payload key of ``segment`` restricted to the names in ``keep``."""
+    if not segment.payload:
+        return ()
+    return segment.project_payload(keep).payload_key()
+
+
+def adjacency(ctx: ExecContext, segments: Iterable[Segment],
+              keep: FrozenSet[str], shift: int = 0) -> Adjacency:
+    """Drain a child's stream into start -> payload key -> {end + shift}.
+
+    Payloads are projected to ``keep`` first, so segments differing only
+    in entries nobody above needs collapse here.  Every segment drained
+    is ticked and charged: the result is retained for the whole join.
+    """
+    groups: Adjacency = {}
+    tick, charge = ctx.tick, ctx.segment_budget is not None
     for segment in segments:
-        key = (segment.start, segment.end, segment.payload_key())
-        if key not in seen:
-            seen.add(key)
-            yield segment
+        tick()
+        if charge:
+            ctx.charge()
+        key = projected_key(segment, keep) if segment.payload else ()
+        start, end = segment.start, segment.end + shift
+        by_key = groups.get(start)
+        if by_key is None:
+            groups[start] = {key: {end}}
+        elif key in by_key:
+            by_key[key].add(end)
+        else:
+            by_key[key] = {end}
+    return groups
+
+
+def merged_key(left: PayloadKey, right: PayloadKey) -> PayloadKey:
+    """Key of the left payload updated with the right one (right wins)."""
+    if not (left and right):
+        return left or right
+    payload = dict(left)
+    payload.update(right)
+    return tuple(sorted(payload.items()))

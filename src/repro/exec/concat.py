@@ -13,20 +13,24 @@ classic disjoint point-variable join.
 * :class:`WildWindowConcat` (WConcat) fuses the ``X W Y`` chain around a
   window-only padding variable, pairing X and Y directly without
   materializing the padding segments.
+
+All of them join set-at-a-time (docs/VECTORIZATION.md, "Past the leaf"):
+children are held as start -> end-set adjacency, each distinct start
+unions the end-sets reachable through its join points, and the window and
+search space clip that union once per start.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Dict, FrozenSet, Iterator, Set
 
-from repro.exec.base import (Env, ExecContext, PhysicalOperator, dedupe,
-                             refs_key)
+from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
+                             adjacency, merged_key, projected_key)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
-
 
 class _BinaryConcat(PhysicalOperator):
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
@@ -40,21 +44,6 @@ class _BinaryConcat(PhysicalOperator):
 
     def children(self):
         return (self.left, self.right)
-
-    def _join(self, ctx: ExecContext, sp: SearchSpace, left: Segment,
-              right: Segment) -> Iterator[Segment]:
-        # Called once per candidate pair: the probe variants' inner
-        # loops make no other tick progress between candidates.
-        ctx.tick()
-        start, end = left.start, right.end
-        if not sp.contains(start, end):
-            return
-        if not self.window.accepts(ctx.series, start, end):
-            return
-        payload = dict(left.payload)
-        payload.update(right.payload)
-        ctx.stats["segments_emitted"] += 1
-        yield self.emit(Segment(start, end, payload))
 
     def describe(self) -> str:
         return f"{self.name}(gap={self.gap})"
@@ -71,23 +60,24 @@ class SortMergeConcat(_BinaryConcat):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
+        # Left ends are stored as the right start they join to.
+        lefts = adjacency(ctx, self.left.eval(ctx, sp.concat_left(self.gap),
+                                              refs), self.publish, self.gap)
+        if not lefts:
+            return  # early termination: no need to evaluate the right
+        rights = adjacency(ctx, self.right.eval(
+            ctx, sp.concat_right(self.gap), refs), self.publish)
 
-        def generate() -> Iterator[Segment]:
-            by_end: Dict[int, List[Segment]] = defaultdict(list)
-            for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
-                ctx.tick()
-                if ctx.segment_budget is not None:
-                    ctx.charge()
-                by_end[left.end].append(left)
-            if not by_end:
-                return  # early termination: no need to evaluate the right
-            for right in self.right.eval(ctx, sp.concat_right(self.gap),
-                                         refs):
-                ctx.tick()
-                for left in by_end.get(right.start - self.gap, ()):
-                    yield from self._join(ctx, sp, left, right)
+        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
+            reach = defaultdict(set)
+            for lkey, joins in lefts[start].items():
+                for join in joins:
+                    for rkey, ends in rights.get(join, {}).items():
+                        ctx.tick()
+                        reach[merged_key(lkey, rkey)] |= ends
+            return reach
 
-        yield from dedupe(generate())
+        yield from self.emit_starts(ctx, sp, lefts, reach_of)
 
 
 class RightProbeConcat(_BinaryConcat):
@@ -101,35 +91,23 @@ class RightProbeConcat(_BinaryConcat):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-
-        def generate() -> Iterator[Segment]:
-            needed = self.right.requires
-            for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
-                ctx.tick()
-                # The result spans [left.start, e]: tighten the probed end
-                # range with the embedded window anchored at left.start.
-                e_lo, e_hi = self.window.end_range(ctx.series, left.start)
-                probe = SearchSpace(left.end + self.gap, left.end + self.gap,
-                                    max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
-                if probe.is_empty():
-                    continue
-                child_refs = dict(refs)
-                child_refs.update(left.payload)
-                key = (self.right.op_id, probe,
-                       refs_key(child_refs, needed))
-                rights = ctx.probe_cache_get(key)
-                if rights is None:
-                    ctx.stats["probe_calls"] += 1
-                    ctx.count(self, "probe_cache_misses")
-                    rights = list(self.right.eval(ctx, probe, child_refs))
-                    ctx.probe_cache_put(key, rights)
-                else:
-                    ctx.stats["probe_cache_hits"] += 1
-                    ctx.count(self, "probe_cache_hits")
-                for right in rights:
-                    yield from self._join(ctx, sp, left, right)
-
-        yield from dedupe(generate())
+        seen = set()
+        for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
+            ctx.tick()
+            # The result spans [left.start, e]: tighten the probed end
+            # range with the embedded window anchored at left.start.
+            e_lo, e_hi = self.window.end_range(ctx.series, left.start)
+            probe = SearchSpace(left.end + self.gap, left.end + self.gap,
+                                max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
+            if probe.is_empty():
+                continue
+            rights = self.probe(ctx, self.right, probe, refs, left)
+            if rights:
+                lkey = projected_key(left, self.publish)
+                yield from self.emit_fresh(ctx, seen, {
+                    (left.start, right.end,
+                     merged_key(lkey, projected_key(right, self.publish)))
+                    for right in rights})
 
 
 class LeftProbeConcat(_BinaryConcat):
@@ -143,34 +121,22 @@ class LeftProbeConcat(_BinaryConcat):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-
-        def generate() -> Iterator[Segment]:
-            needed = self.left.requires
-            for right in self.right.eval(ctx, sp.concat_right(self.gap),
-                                         refs):
-                ctx.tick()
-                s_lo, s_hi = self.window.start_range(ctx.series, right.end)
-                probe = SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
-                                    right.start - self.gap,
-                                    right.start - self.gap)
-                if probe.is_empty():
-                    continue
-                child_refs = dict(refs)
-                child_refs.update(right.payload)
-                key = (self.left.op_id, probe, refs_key(child_refs, needed))
-                lefts = ctx.probe_cache_get(key)
-                if lefts is None:
-                    ctx.stats["probe_calls"] += 1
-                    ctx.count(self, "probe_cache_misses")
-                    lefts = list(self.left.eval(ctx, probe, child_refs))
-                    ctx.probe_cache_put(key, lefts)
-                else:
-                    ctx.stats["probe_cache_hits"] += 1
-                    ctx.count(self, "probe_cache_hits")
-                for left in lefts:
-                    yield from self._join(ctx, sp, left, right)
-
-        yield from dedupe(generate())
+        seen = set()
+        for right in self.right.eval(ctx, sp.concat_right(self.gap), refs):
+            ctx.tick()
+            s_lo, s_hi = self.window.start_range(ctx.series, right.end)
+            probe = SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
+                                right.start - self.gap,
+                                right.start - self.gap)
+            if probe.is_empty():
+                continue
+            lefts = self.probe(ctx, self.left, probe, refs, right)
+            if lefts:
+                rkey = projected_key(right, self.publish)
+                yield from self.emit_fresh(ctx, seen, {
+                    (left.start, right.end,
+                     merged_key(projected_key(left, self.publish), rkey))
+                    for left in lefts})
 
 
 class WildWindowConcat(PhysicalOperator):
@@ -208,55 +174,36 @@ class WildWindowConcat(PhysicalOperator):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
+        # Left ends are stored as the pad start that follows them.
+        lefts = adjacency(ctx, self.left.eval(ctx, SearchSpace(
+            sp.s_lo, sp.s_hi, sp.s_lo, sp.e_hi), refs),
+            self.publish, self.gap_left)
+        if not lefts:
+            return
+        rights = adjacency(ctx, self.right.eval(ctx, SearchSpace(
+            sp.s_lo, sp.e_hi, sp.e_lo, sp.e_hi), refs), self.publish)
+        right_starts = sorted(rights)
+        n = len(ctx.series)
 
-        def generate() -> Iterator[Segment]:
-            left_sp = SearchSpace(sp.s_lo, sp.s_hi, sp.s_lo, sp.e_hi)
-            lefts = []
-            for left in self.left.eval(ctx, left_sp, refs):
-                ctx.tick()
-                if ctx.segment_budget is not None:
-                    ctx.charge()
-                lefts.append(left)
-            if not lefts:
-                return
-            right_sp = SearchSpace(sp.s_lo, sp.e_hi, sp.e_lo, sp.e_hi)
-            rights = []
-            for right in self.right.eval(ctx, right_sp, refs):
-                ctx.tick()
-                if ctx.segment_budget is not None:
-                    ctx.charge()
-                rights.append(right)
-            if not rights:
-                return
-            rights.sort(key=lambda seg: seg.start)
-            starts = [seg.start for seg in rights]
-            n = len(ctx.series)
-            for left in lefts:
-                ctx.tick()
-                pad_start = left.end + self.gap_left
-                if pad_start >= n:
-                    continue
-                # Admissible pad end positions; right starts sit gap_right
-                # past them.
-                pad_lo, pad_hi = self.pad_window.end_range(ctx.series,
-                                                           pad_start)
-                pad_lo = max(pad_lo, pad_start)
-                # Result end range from the embedded window.
-                e_lo, e_hi = self.window.end_range(ctx.series, left.start)
-                lo_index = bisect.bisect_left(starts,
-                                              pad_lo + self.gap_right)
-                hi_index = bisect.bisect_right(starts,
-                                               pad_hi + self.gap_right)
-                for right in rights[lo_index:hi_index]:
+        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
+            reach = defaultdict(set)
+            for lkey, pad_starts in lefts[start].items():
+                for pad_start in pad_starts:
                     ctx.tick()
-                    start, end = left.start, right.end
-                    if end < max(sp.e_lo, e_lo) or end > min(sp.e_hi, e_hi):
+                    if pad_start >= n:
                         continue
-                    if not sp.contains(start, end):
-                        continue
-                    payload = dict(left.payload)
-                    payload.update(right.payload)
-                    ctx.stats["segments_emitted"] += 1
-                    yield self.emit(Segment(start, end, payload))
+                    # Admissible pad end positions; right starts sit
+                    # gap_right past them.
+                    pad_lo, pad_hi = self.pad_window.end_range(ctx.series,
+                                                               pad_start)
+                    lo = bisect.bisect_left(
+                        right_starts, max(pad_lo, pad_start) + self.gap_right)
+                    hi = bisect.bisect_right(right_starts,
+                                             pad_hi + self.gap_right)
+                    for right_start in right_starts[lo:hi]:
+                        for rkey, ends in rights[right_start].items():
+                            ctx.tick()
+                            reach[merged_key(lkey, rkey)] |= ends
+            return reach
 
-        yield from dedupe(generate())
+        yield from self.emit_starts(ctx, sp, lefts, reach_of)

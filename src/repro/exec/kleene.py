@@ -1,24 +1,27 @@
 """Kleene physical operator (Section 4.4.3).
 
-:class:`MaterializeKleene` evaluates its child once, hashes the child's
-segments by start position, and assembles "linked" chains with a
-breadth-first search.  Window-awareness is what makes it fast on long
-series (the OpenCEP_Q2 analysis in Section 6.3): the embedded window bounds
-each chain's end range from its start position, so chains are pruned as
-soon as they out-span the window.
+:class:`MaterializeKleene` evaluates its child once, holds the child's
+segments as start -> end-set adjacency, and assembles "linked" chains by
+level-wise frontier expansion: the ends reachable in ``k + 1`` repetitions
+are the union of the end-sets starting where the ``k``-repetition frontier
+ends.  Window-awareness is what makes it fast on long series (the
+OpenCEP_Q2 analysis in Section 6.3): the embedded window bounds each
+chain's end range from its start position, so every frontier is clipped as
+soon as it out-spans the window.
 
-Chains deduplicate on ``(end, reps)`` states, which keeps the search
-polynomial even when exponentially many decompositions exist.  Payloads of
-chain members are not tracked (references *into* a Kleene body are
-rejected by the planner's validator, matching the paper's scoping).
+A frontier is a set of ends, i.e. chains deduplicate on ``(end, reps)``
+states, which keeps the search polynomial even when exponentially many
+decompositions exist; without a repetition cap, ends already expanded are
+dropped from later frontiers too.  Payloads of chain members are not
+tracked (references *into* a Kleene body are rejected by the planner's
+validator, matching the paper's scoping).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Set
 
-from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.base import Env, ExecContext, PhysicalOperator, adjacency
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -58,77 +61,58 @@ class MaterializeKleene(PhysicalOperator):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        child_sp = sp.kleene_child()
-        by_start: Dict[int, List[int]] = defaultdict(list)
+        links: Dict[int, Set[int]] = {}
         singles: Set[int] = set()
-        for segment in self.child.eval(ctx, child_sp, refs):
+        for start, by_key in adjacency(ctx, self.child.eval(
+                ctx, sp.kleene_child(), refs), frozenset()).items():
             ctx.tick()
-            if self.gap == 0 and segment.duration == 0:
+            ends = by_key[()]
+            if self.gap == 0 and start in ends:
                 # A zero-duration link makes no progress under shared
                 # boundaries, so it never joins a chain — but the spec
                 # (DESIGN.md §3, mirrored by the brute-force matcher) lets
                 # the *final* repetition cover whatever remains, so a lone
                 # zero-width repetition is a complete match on its own.
+                ends.discard(start)
                 if self.min_reps <= 1:
-                    singles.add(segment.start)
-                continue
-            if ctx.segment_budget is not None:
-                ctx.charge()
-            by_start[segment.start].append(segment.end)
+                    singles.add(start)
+            if ends:
+                links[start] = ends
 
-        series = ctx.series
-        for start in range(sp.s_lo, sp.s_hi + 1):
-            if start not in by_start and start not in singles:
-                continue
-            # Window pruning: the furthest end a chain from `start` may reach.
-            if self.window_aware:
-                w_lo, w_hi = self.window.end_range(series, start)
-                e_hi = min(w_hi, sp.e_hi)
-                e_lo = max(w_lo, sp.e_lo)
-            else:
+        charge = ctx.segment_budget is not None
+
+        gap, min_reps, max_reps = self.gap, self.min_reps, self.max_reps
+
+        def reach_of(start: int, e_hi: int) -> Dict[tuple, Set[int]]:
+            # Window pruning: e_hi is the furthest end a chain from
+            # `start` may reach; ends past it are kept (emission clips
+            # them) but never expanded.
+            if not self.window_aware:
                 e_hi = sp.e_hi
-                e_lo = sp.e_lo
-            visited: Set[Tuple[int, int]] = set()
-            emitted: Set[int] = set()
-            if (start in singles and e_lo <= start <= e_hi
-                    and self.window.accepts(series, start, start)
-                    and sp.contains(start, start)):
-                emitted.add(start)
-                ctx.stats["segments_emitted"] += 1
-                yield self.emit(Segment(start, start))
-            queue = deque()
-            for end in by_start.get(start, ()):
+            reached = {start} if start in singles else set()
+            frontier, reps = links.get(start, ()), 1
+            while frontier:
                 ctx.tick()
-                if end <= e_hi:
-                    state = (end, 1)
-                    if state not in visited:
-                        visited.add(state)
-                        queue.append(state)
-            while queue:
-                ctx.tick()
-                end, reps = queue.popleft()
-                if (reps >= self.min_reps and e_lo <= end <= e_hi
-                        and end not in emitted
-                        and self.window.accepts(series, start, end)
-                        and sp.contains(start, end)):
-                    emitted.add(end)
-                    ctx.stats["segments_emitted"] += 1
-                    yield self.emit(Segment(start, end))
-                if self.max_reps is not None and reps >= self.max_reps:
-                    continue
-                next_start = end + self.gap
-                for next_end in by_start.get(next_start, ()):
+                if reps >= min_reps:
+                    if max_reps is None and reached:
+                        frontier = frontier - reached  # already expanded
+                    reached |= frontier
+                if reps == max_reps:
+                    break
+                grown: Set[int] = set()
+                for end in frontier:
                     ctx.tick()
-                    if next_end > e_hi:
-                        continue
-                    state = (next_end, reps + 1)
-                    if state not in visited:
-                        # Chain states are the memory hot spot (O(n·reps)
-                        # of them can exist); charge them like segments.
-                        if ctx.segment_budget is not None:
-                            ctx.charge()
-                        visited.add(state)
-                        queue.append(state)
+                    if end <= e_hi and end + gap in links:
+                        grown |= links[end + gap]
+                # Frontiers are the memory hot spot (O(n·reps) states
+                # can exist); charge them like segments.
+                if charge:
+                    ctx.charge(len(grown))
+                frontier, reps = grown, reps + 1
+            return {(): reached}
+
+        yield from self.emit_starts(ctx, sp, links.keys() | singles,
+                                    reach_of)
 
     def describe(self) -> str:
         hi = "inf" if self.max_reps is None else self.max_reps

@@ -223,7 +223,7 @@ def _quantize(exact_lo: np.ndarray, exact_hi: np.ndarray,
 
     Returns ``(symbols_lo, symbols_hi, block_lo, block_hi)`` where the
     decoded bounds provably bracket the exact extremes.  The caller
-    guarantees a finite, non-flat global envelope.
+    guarantees a non-flat global envelope with a finite span.
     """
     edges = np.linspace(global_lo, global_hi, SYMBOLS + 1)
     span = global_hi - global_lo
@@ -278,15 +278,19 @@ def _summarize_column(name: str, values: np.ndarray,
         warnings.simplefilter("ignore", RuntimeWarning)
         global_lo = float(np.nanmin(values)) if n else np.nan
         global_hi = float(np.nanmax(values)) if n else np.nan
-    quantizable = (np.isfinite(global_lo) and np.isfinite(global_hi)
-                   and global_lo < global_hi)
+    # The span itself must be finite: for an envelope such as
+    # [-1.8e308, 1e292] the subtraction overflows to inf and every
+    # symbol would come out as int64-min.
+    quantizable = (global_lo < global_hi
+                   and bool(np.isfinite(global_hi - global_lo)))
     if quantizable:
         sym_lo, sym_hi, block_lo, block_hi = _quantize(
             exact_lo, exact_hi, empty, global_lo, global_hi)
         exact = False
     else:
-        # Flat/±inf/all-NaN envelope: store exact extremes (trivially
-        # sound) instead of a meaningless one-symbol alphabet.
+        # Flat/±inf/all-NaN envelope, or one too wide to subtract: store
+        # exact extremes (trivially sound) instead of a meaningless
+        # alphabet.
         sym_lo = np.empty(0, dtype=np.uint8)
         sym_hi = np.empty(0, dtype=np.uint8)
         block_lo, block_hi = exact_lo, exact_hi

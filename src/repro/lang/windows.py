@@ -112,7 +112,7 @@ class WindowConjunction:
     index since timestamps are sorted).
     """
 
-    __slots__ = ("specs",)
+    __slots__ = ("specs", "_point", "_timed")
 
     def __init__(self, specs: Optional[List[WindowSpec]] = None):
         merged: List[WindowSpec] = []
@@ -120,6 +120,11 @@ class WindowConjunction:
             if not spec.is_wild:
                 merged.append(spec)
         self.specs = tuple(merged)
+        #: The point specs folded into one (lo, hi) index-duration bound,
+        #: so end_range/start_range only loop over the time specs.
+        self._point = self.point_duration_bounds()
+        self._timed = tuple(spec for spec in merged
+                            if spec.kind != "point")
 
     @staticmethod
     def wild() -> "WindowConjunction":
@@ -161,80 +166,71 @@ class WindowConjunction:
         admissible.  Both bounds are clamped to the series.
         """
         n = len(series)
-        end_lo = start
-        end_hi = n - 1
-        for spec in self.specs:
+        lo, hi = self._point
+        end_lo = start + lo
+        end_hi = n - 1 if hi is None else min(n - 1, start + hi)
+        for spec in self._timed:
             lo, hi = spec.bounds_on(series)
-            if spec.kind == "point":
-                end_lo = max(end_lo, start + int(math.ceil(lo)))
-                if hi is not None:
-                    end_hi = min(end_hi, start + int(math.floor(hi)))
-            else:
-                column = spec.column or series.order_column
-                timestamps = series.column(column)
-                base = timestamps[start]
-                # Smallest end with duration >= lo; the bisect uses
-                # base + lo, so fix the boundary up against the canonical
-                # duration predicate (ts[e] - base), which can differ by
-                # one ULP from the bisect key.
-                candidate = bisect.bisect_left(timestamps, base + lo,
-                                               lo=start, hi=n)
-                while candidate > start and \
-                        timestamps[candidate - 1] - base >= lo:
-                    candidate -= 1
-                while candidate < n and timestamps[candidate] - base < lo:
+            column = spec.column or series.order_column
+            timestamps = series.column(column)
+            base = timestamps[start]
+            # Smallest end with duration >= lo; the bisect uses
+            # base + lo, so fix the boundary up against the canonical
+            # duration predicate (ts[e] - base), which can differ by
+            # one ULP from the bisect key.
+            candidate = bisect.bisect_left(timestamps, base + lo,
+                                           lo=start, hi=n)
+            while candidate > start and \
+                    timestamps[candidate - 1] - base >= lo:
+                candidate -= 1
+            while candidate < n and timestamps[candidate] - base < lo:
+                candidate += 1
+            end_lo = max(end_lo, candidate)
+            if hi is not None:
+                # Largest end with duration <= hi (same fix-up).
+                candidate = bisect.bisect_right(timestamps, base + hi,
+                                                lo=start, hi=n) - 1
+                while candidate + 1 < n and \
+                        timestamps[candidate + 1] - base <= hi:
                     candidate += 1
-                end_lo = max(end_lo, candidate)
-                if hi is not None:
-                    # Largest end with duration <= hi (same fix-up).
-                    candidate = bisect.bisect_right(timestamps, base + hi,
-                                                    lo=start, hi=n) - 1
-                    while candidate + 1 < n and \
-                            timestamps[candidate + 1] - base <= hi:
-                        candidate += 1
-                    while candidate >= start and \
-                            timestamps[candidate] - base > hi:
-                        candidate -= 1
-                    end_hi = min(end_hi, candidate)
+                while candidate >= start and \
+                        timestamps[candidate] - base > hi:
+                    candidate -= 1
+                end_hi = min(end_hi, candidate)
         return end_lo, end_hi
 
     def start_range(self, series: Series, end: int) -> Tuple[int, int]:
         """Admissible ``[start_lo, start_hi]`` for segments ending at ``end``
         (mirror of :meth:`end_range`)."""
-        n = len(series)
-        start_lo = 0
-        start_hi = end
-        for spec in self.specs:
+        lo, hi = self._point
+        start_lo = 0 if hi is None else max(0, end - hi)
+        start_hi = end - lo
+        for spec in self._timed:
             lo, hi = spec.bounds_on(series)
-            if spec.kind == "point":
-                start_hi = min(start_hi, end - int(math.ceil(lo)))
-                if hi is not None:
-                    start_lo = max(start_lo, end - int(math.floor(hi)))
-            else:
-                column = spec.column or series.order_column
-                timestamps = series.column(column)
-                base = timestamps[end]
-                # Largest start with duration >= lo, fixed up against the
-                # canonical duration predicate (base - ts[s]).
-                candidate = bisect.bisect_right(timestamps, base - lo,
-                                                lo=0, hi=end + 1) - 1
-                while candidate + 1 <= end and \
-                        base - timestamps[candidate + 1] >= lo:
-                    candidate += 1
-                while candidate >= 0 and base - timestamps[candidate] < lo:
+            column = spec.column or series.order_column
+            timestamps = series.column(column)
+            base = timestamps[end]
+            # Largest start with duration >= lo, fixed up against the
+            # canonical duration predicate (base - ts[s]).
+            candidate = bisect.bisect_right(timestamps, base - lo,
+                                            lo=0, hi=end + 1) - 1
+            while candidate + 1 <= end and \
+                    base - timestamps[candidate + 1] >= lo:
+                candidate += 1
+            while candidate >= 0 and base - timestamps[candidate] < lo:
+                candidate -= 1
+            start_hi = min(start_hi, candidate)
+            if hi is not None:
+                # Smallest start with duration <= hi (same fix-up).
+                candidate = bisect.bisect_left(timestamps, base - hi,
+                                               lo=0, hi=end + 1)
+                while candidate > 0 and \
+                        base - timestamps[candidate - 1] <= hi:
                     candidate -= 1
-                start_hi = min(start_hi, candidate)
-                if hi is not None:
-                    # Smallest start with duration <= hi (same fix-up).
-                    candidate = bisect.bisect_left(timestamps, base - hi,
-                                                   lo=0, hi=end + 1)
-                    while candidate > 0 and \
-                            base - timestamps[candidate - 1] <= hi:
-                        candidate -= 1
-                    while candidate <= end and \
-                            base - timestamps[candidate] > hi:
-                        candidate += 1
-                    start_lo = max(start_lo, candidate)
+                while candidate <= end and \
+                        base - timestamps[candidate] > hi:
+                    candidate += 1
+                start_lo = max(start_lo, candidate)
         return start_lo, start_hi
 
     def accepts(self, series: Series, start: int, end: int) -> bool:

@@ -23,7 +23,7 @@ class Segment:
     without conflating matches that bound references differently.
     """
 
-    __slots__ = ("start", "end", "_payload", "_hash")
+    __slots__ = ("start", "end", "_payload", "_key", "_hash")
 
     def __init__(self, start: int, end: int,
                  payload: Optional[Dict[str, Tuple[int, int]]] = None):
@@ -32,6 +32,7 @@ class Segment:
         self.start = int(start)
         self.end = int(end)
         self._payload = dict(payload) if payload else {}
+        self._key = None
         self._hash = None
 
     @property
@@ -82,8 +83,10 @@ class Segment:
         return Segment(self.start, self.end, kept)
 
     def payload_key(self) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
-        """A hashable canonical form of the payload."""
-        return tuple(sorted(self._payload.items()))
+        """A hashable canonical form of the payload (computed once)."""
+        if self._key is None:
+            self._key = tuple(sorted(self._payload.items()))
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Segment):

@@ -10,6 +10,13 @@ from repro.errors import DataError
 from repro.timeseries.series import Series, concat_keys
 
 
+def _first_seen_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each element's value by first appearance (equal -> same)."""
+    seen: Dict[object, int] = {}
+    return np.fromiter((seen.setdefault(value, len(seen))
+                        for value in values), np.int64, len(values))
+
+
 class Table:
     """A columnar relational table of timestamped records.
 
@@ -79,17 +86,30 @@ class Table:
                            time_unit=self.time_unit,
                            nan_policy=self.nan_policy)]
 
-        groups: Dict[tuple, List[int]] = {}
+        if not self._length:
+            return []
         key_arrays = [self._columns[name] for name in partition_by]
-        for row in range(self._length):
-            key = tuple(arr[row] for arr in key_arrays)
-            groups.setdefault(key, []).append(row)
+        # One stable sort puts equal keys side by side, each group still in
+        # table order; object columns (not sortable in general) are ranked
+        # by first appearance instead.
+        order = np.lexsort([_first_seen_rank(arr) if arr.dtype == object
+                            else arr for arr in reversed(key_arrays)])
+        boundary = np.zeros(self._length - 1, dtype=bool)
+        for arr in key_arrays:
+            ranked = arr[order]
+            boundary |= ranked[1:] != ranked[:-1]
+        # Keyed in order of first appearance, as concat_keys' stable sort
+        # expects for keys that print alike.
+        groups: Dict[tuple, np.ndarray] = {
+            tuple(arr[rows[0]] for arr in key_arrays): rows
+            for rows in sorted(np.split(order, np.flatnonzero(boundary) + 1),
+                               key=lambda rows: rows[0])}
 
         series_list: List[Series] = []
         for key in concat_keys(groups):
-            rows = np.asarray(groups[key], dtype=np.int64)
-            order = np.argsort(self._columns[order_by][rows], kind="stable")
-            rows = rows[order]
+            rows = groups[key]
+            rows = rows[np.argsort(self._columns[order_by][rows],
+                                   kind="stable")]
             columns = {name: arr[rows] for name, arr in self._columns.items()}
             series_list.append(
                 Series(columns, order_by, key=key, time_unit=self.time_unit,

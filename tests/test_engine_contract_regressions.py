@@ -16,16 +16,15 @@ import pytest
 
 from repro.baselines.afa import AFAExecutor
 from repro.errors import QueryTimeout, ResourceBudgetExceeded
-from repro.exec.and_or import SortMergeAnd
+from repro.exec.and_or import RightProbeAnd
 from repro.exec.base import ExecContext
-from repro.exec.concat import SortMergeConcat, WildWindowConcat
+from repro.exec.concat import RightProbeConcat, WildWindowConcat
 from repro.exec.kleene import MaterializeKleene
 from repro.exec.seggen import SegGenFilter
 from repro.lang.query import VarDef, compile_query
 from repro.lang.windows import WindowConjunction, WindowSpec
 from repro.plan.logical import LAnd, walk
 from repro.plan.search_space import SearchSpace
-from repro.timeseries.segment import Segment
 
 from tests.conftest import make_series
 from tests.test_timeout_ticks import _StaticOp, expired_ctx
@@ -51,20 +50,26 @@ def test_seggen_diagonal_ticks_on_rejected_points():
         list(op.eval(expired_ctx(series), SearchSpace.full(len(series)), {}))
 
 
-@pytest.mark.parametrize("family", [SortMergeConcat, SortMergeAnd],
+@pytest.mark.parametrize("family", [RightProbeConcat, RightProbeAnd],
                          ids=["concat", "and"])
-def test_binary_join_ticks_per_candidate_pair(family):
-    """``_join`` itself must tick: the probe variants call it once per
-    cached candidate without any other tick progress in between."""
+def test_probe_join_ticks_per_emitted_candidate(family):
+    """``emit_fresh`` itself must tick: between two enumerated segments
+    the probe variants make no other tick progress, however many cached
+    candidates one probe returns.
+
+    One enumerated segment costs one tick; with ``TICK_STRIDE = 2`` the
+    deciding second tick can only come from the emission loop.
+    """
     series = make_series([1.0, 2.0, 3.0, 4.0])
-    if family is SortMergeConcat:
-        op = family(_StaticOp(), _StaticOp(), 0, WILD)
+    if family is RightProbeConcat:
+        op = family(_StaticOp(((0, 1),)), _StaticOp(((1, 2), (1, 3))), 0,
+                    WILD)
     else:
-        op = family(_StaticOp(), _StaticOp(), WILD)
+        op = family(_StaticOp(((0, 1),)), _StaticOp(((0, 1),)), WILD)
     ctx = expired_ctx(series)
+    ctx.TICK_STRIDE = 2
     with pytest.raises(QueryTimeout):
-        list(op._join(ctx, SearchSpace.full(len(series)),
-                      Segment(0, 1), Segment(1, 2)))
+        list(op.eval(ctx, SearchSpace.full(len(series)), {}))
 
 
 def test_kleene_seed_loop_ticks_when_window_prunes_everything():

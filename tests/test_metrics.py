@@ -115,6 +115,17 @@ class TestAnalyzeMode:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("optimizer", ["cost", "sm_left", "pr_left"])
+    def test_segments_emitted_is_what_operators_yielded(self, optimizer):
+        """``stats["segments_emitted"]`` counts yielded segments (after
+        the join operators' deduplication), i.e. exactly what the shim
+        counts as ``segments_out`` operator by operator."""
+        result = run(optimizer=optimizer)
+        assert "SubPattern" not in result.plan_explain  # re-serves, uncounted
+        yielded = sum(record.segments_out
+                      for record in result.op_metrics.ops.values())
+        assert result.stats["segments_emitted"] == yielded > 0
+
     def test_probe_counters_attributed(self):
         result = run(optimizer="pr_left")
         counters = sum((record.counters

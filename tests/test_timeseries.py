@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DataError
 from repro.timeseries.segment import Segment
-from repro.timeseries.series import Series
+from repro.timeseries.series import Series, concat_keys
 from repro.timeseries.table import Table
 from repro.timeseries.timeunits import to_base_units
 
@@ -152,6 +152,56 @@ class TestTable:
                        "val": rng.normal(size=20)})
         keys = [s.key for s in table.partition(["k"], "tstamp")]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def _row_loop_partition(table, partition_by, order_by):
+        """The per-row grouping ``Table.partition`` used to do: the
+        reference its sort-based grouping must reproduce exactly."""
+        groups = {}
+        key_arrays = [table.column(name) for name in partition_by]
+        for row in range(len(table)):
+            groups.setdefault(tuple(arr[row] for arr in key_arrays),
+                              []).append(row)
+        out = []
+        for key in concat_keys(groups):
+            rows = np.asarray(groups[key], dtype=np.int64)
+            rows = rows[np.argsort(table.column(order_by)[rows],
+                                   kind="stable")]
+            out.append((key, {name: table.column(name)[rows]
+                              for name in table.column_names}))
+        return out
+
+    @pytest.mark.parametrize("partition_by", [
+        ["name"], ["code"], ["level"], ["tag"],
+        ["name", "code"], ["level", "code", "name"], ["tag", "level"]])
+    def test_partition_matches_row_loop(self, rng, partition_by):
+        n = 400
+        table = Table({
+            # Unsorted, with ties: ORDER BY must sort each group stably.
+            "tstamp": rng.integers(0, 50, size=n).astype(float),
+            "val": rng.normal(size=n),
+            "name": rng.choice(np.asarray(["b", "a", "ab", "B", "10", "9"]),
+                               size=n),
+            "code": rng.integers(-3, 12, size=n),
+            "level": rng.choice(np.asarray([0.5, -1.0, 10.0, 9.0, 1e300]),
+                                size=n),
+            "tag": rng.choice(np.asarray(["x", None, 3, 2.5], dtype=object),
+                              size=n),
+        })
+        got = table.partition(partition_by, "tstamp")
+        want = self._row_loop_partition(table, partition_by, "tstamp")
+        assert [s.key for s in got] == [key for key, _ in want]
+        for series, (key, columns) in zip(got, want):
+            assert [type(part) for part in series.key] == \
+                [type(part) for part in key]
+            for name, values in columns.items():
+                if values.dtype.kind in "iu":  # Series stores ints as floats
+                    values = values.astype(np.float64)
+                assert np.array_equal(series.column(name), values), name
+
+    def test_partition_empty_table(self):
+        table = Table({"tstamp": np.empty(0), "k": np.empty(0)})
+        assert table.partition(["k"], "tstamp") == []
 
 
 class TestTimeUnits:

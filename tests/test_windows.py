@@ -110,6 +110,38 @@ class TestStartRange:
                 assert got == expected, (start, end)
 
 
+class TestFoldedPointBounds:
+    """Point specs are folded into one bound at construction; the ranges
+    must still be exactly the positions ``accepts`` admits."""
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 0.5, 1, 2, 2.5, 7]),
+                              st.sampled_from([None, 0, 1, 2.5, 5, 40])),
+                    max_size=3),
+           st.integers(1, 24))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_ranges_are_exactly_the_accepted_positions(self, bounds, n):
+        window = conj(*(WindowSpec.point(lo, hi) for lo, hi in bounds
+                        if hi is None or lo <= hi))
+        series = make_series(np.zeros(n))
+        for anchor in range(n):
+            lo, hi = window.end_range(series, anchor)
+            assert [e for e in range(anchor, n) if lo <= e <= hi] == \
+                [e for e in range(anchor, n)
+                 if window.accepts(series, anchor, e)]
+            lo, hi = window.start_range(series, anchor)
+            assert [s for s in range(anchor + 1) if lo <= s <= hi] == \
+                [s for s in range(anchor + 1)
+                 if window.accepts(series, s, anchor)]
+
+    def test_mixed_conjunction_keeps_the_time_bound(self):
+        series = make_series(np.zeros(6),
+                             timestamps=[0.0, 1.0, 4.0, 5.0, 9.0, 30.0])
+        window = conj(WindowSpec.point(1, None),
+                      WindowSpec.time("tstamp", 0, 5, "DAY"))
+        assert window.end_range(series, 0) == (1, 3)
+        assert window.start_range(series, 3) == (0, 2)
+
+
 class TestIterate:
     def test_matches_accepts(self):
         series = make_series(np.zeros(12))
