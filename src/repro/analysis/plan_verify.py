@@ -1,8 +1,7 @@
 """Pass 2: physical-plan verification (codes ``TRX2xx``).
 
-Promotes the reference-flow validator (the paper's footnote 7, formerly
-``repro.optimizer.validator``) into the diagnostics framework and extends
-it with operator-contract checks:
+Holds the reference-flow validator (the paper's footnote 7) inside the
+diagnostics framework and extends it with operator-contract checks:
 
 * :func:`reference_flow` — TRX201, the original reference-dependency
   rules (message text preserved verbatim for the planner's error paths);
@@ -51,6 +50,20 @@ def reference_flow(op: PhysicalOperator,
                    available: FrozenSet[str] = frozenset()) \
         -> List[Diagnostic]:
     """Reference-dependency violations of a physical plan (TRX201).
+
+    The paper's footnote-7 rules, checked on every planner output:
+
+    * the plan root must not require any external references;
+    * Sort-Merge/WildWindow binaries evaluate children independently —
+      each child's ``requires`` must already be available from above;
+    * probe operators evaluate the anchor first and hand its payload to
+      the probed side — the probed child may additionally consume what
+      the anchor publishes;
+    * Not/Kleene/Filter children see only what the operator itself sees;
+    * a Filter's lifted-condition owners must be published by its child
+      (or be available from above);
+    * whatever a probe passes along must actually be *published* by the
+      anchor sub-tree.
 
     Message text is stable API: the planners raise ``PlanError`` with
     these exact strings and tests match on them.

@@ -135,10 +135,8 @@ def cmd_query(args) -> int:
     table = _resolve_table(args, template, query)
     engine = TRexEngine(optimizer=args.optimizer, sharing=args.sharing,
                         **_engine_options(args))
-    t0 = time.perf_counter()
     result = engine.execute_query(
         query, table.partition(query.partition_by, query.order_by))
-    elapsed = time.perf_counter() - t0
     _warn_degradations(result)
     print(result.summary())
     # Ctrl-C settled by the engine (on_error != 'raise'): the matches
@@ -158,7 +156,6 @@ def cmd_query(args) -> int:
             label = "/".join(str(part) for part in key) or "-"
             print(f"{label}\t[{start}, {end}]")
             shown += 1
-    del elapsed
     return code
 
 

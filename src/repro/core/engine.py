@@ -27,20 +27,19 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core import parallel as par
 from repro.core.plancache import PlanCache
 from repro.core.result import QueryResult, SeriesError, SeriesMatches
-from repro.core.sink import MatchSink, truncate_matches
-from repro.errors import (PlanError, QueryLintError, QueryTimeout, TRexError,
+from repro.core.sink import truncate_matches
+from repro.errors import (PlanError, QueryLintError, QueryTimeout,
                           error_kind)
-from repro.exec.base import ExecContext, PhysicalOperator
+from repro.exec.base import PhysicalOperator
 from repro.exec.metrics import RunMetrics, instrument_plan
 from repro.lang.query import Query, compile_query
 from repro.plan.logical import LogicalNode, build_logical_plan
-from repro.plan.prefilter import (PrefilterPlan, evaluate_with_prefilter,
-                                  extract_prefilter, prefilter_report)
+from repro.plan.prefilter import (PrefilterPlan, extract_prefilter,
+                                  prefilter_report)
 from repro.plan.prefilter import default_enabled as _prefilter_default
-from repro.plan.search_space import SearchSpace
-from repro.testing import faults as _faults
 from repro.timeseries.series import Series
 from repro.timeseries.table import Table
 
@@ -58,11 +57,6 @@ def _resolve_rule_strategy(label: str):
     raise PlanError(f"unknown planner {label!r}; expected 'cost', 'batch' or "
                     f"one of "
                     f"{[s.label for s in BASELINE_STRATEGIES_WITH_NOT]}")
-
-
-#: Backwards-compatible alias — the sink moved to :mod:`repro.core.sink`
-#: so the parallel workers share the exact truncation semantics.
-_MatchSink = MatchSink
 
 
 class TRexEngine:
@@ -252,11 +246,6 @@ class TRexEngine:
             self.last_planner_fallback = reason
             return plan
 
-    def plan_for_series(self, query: Query, logical: LogicalNode,
-                        series: Series) -> PhysicalOperator:
-        """Build a plan from a single series (convenience for tests)."""
-        return self.build_plan(query, logical, [series])
-
     # -- execution -----------------------------------------------------------
 
     def execute(self, table: Table, query_text: str,
@@ -361,20 +350,17 @@ class TRexEngine:
         exec_plan = instrument_plan(plan) if self.analyze else plan
         pf_totals: Counter = Counter()
         try:
-            if self.executor == "serial":
-                total_metrics = self._execute_serial(
-                    result, plan, exec_plan, query, series_list, deadline,
-                    pfplan, pf_totals)
-            else:
-                total_metrics = self._execute_parallel(
-                    result, plan, exec_plan, query, series_list, deadline,
-                    pfplan, pf_totals)
+            total_metrics = self._settle(
+                result, plan, exec_plan, query, series_list, deadline,
+                pfplan, pf_totals)
         except KeyboardInterrupt:
             # SIGINT mid-query: under 'raise' the interrupt propagates
             # untouched; under 'skip'/'partial' the engine settles — the
             # series completed so far keep their matches (the 'partial'
             # guarantee: a sorted, duplicate-free subset of a full run)
             # and the result is marked interrupted (docs/ROBUSTNESS.md).
+            # Under a pool backend the interrupt lands while waiting for
+            # the pool, before the walk: no series has completed.
             if self.on_error == "raise":
                 raise
             total_metrics = None
@@ -413,106 +399,47 @@ class TRexEngine:
                     + result.plan_analyze)
         return result
 
-    def _execute_serial(self, result: QueryResult, plan: PhysicalOperator,
-                        exec_plan: PhysicalOperator, query: Query,
-                        series_list: List[Series],
-                        deadline: Optional[float],
-                        pfplan: Optional[PrefilterPlan],
-                        pf_totals: Counter) -> Optional[RunMetrics]:
-        """The historical strictly-ordered per-series loop (unchanged)."""
-        total_metrics = RunMetrics() if self.analyze else None
-        exec_seconds = 0.0
-        remaining = self.max_matches
-        seg_remaining = self.max_segments
-        stopped = False
-        for series in series_list:
-            if stopped or len(series) == 0 \
-                    or (remaining is not None and remaining <= 0):
-                result.per_series.append(SeriesMatches(series.key, []))
-                continue
-            t2 = time.perf_counter()
-            matches, ctx, error, pf_counters = self._execute_series(
-                exec_plan, series, query, deadline=deadline,
-                limit=remaining, segment_budget=seg_remaining,
-                prefilter=pfplan)
-            if pf_counters:
-                pf_totals.update(pf_counters)
-            seconds = time.perf_counter() - t2
-            exec_seconds += seconds
-            if ctx is not None and ctx.metrics is not None:
-                ctx.metrics.finalize(plan)
-            entry = SeriesMatches(
-                series.key, matches,
-                stats=ctx.stats if ctx is not None else Counter(),
-                seconds=seconds,
-                metrics=ctx.metrics if ctx is not None else None)
-            if error is not None:
-                kind = error_kind(error)
-                keep_partial = self.on_error == "partial"
-                if not keep_partial:
-                    entry.matches = []
-                entry.error = SeriesError(
-                    series.key, type(error).__name__,
-                    " ".join(str(error).split()), kind,
-                    partial=keep_partial and bool(entry.matches))
-                if kind in ("timeout", "budget"):
-                    # A blown budget is global: stop, return what we have.
-                    result.interrupted = True
-                    result.degradation = f"{kind}: {entry.error.message}"
-                    stopped = True
-            if remaining is not None:
-                remaining -= len(entry.matches)
-            if seg_remaining is not None and ctx is not None:
-                seg_remaining = max(0, seg_remaining - ctx.segments_charged)
-                if seg_remaining == 0 and not stopped \
-                        and self.on_error != "raise":
-                    result.interrupted = True
-                    result.degradation = (
-                        f"budget: max_segments={self.max_segments} "
-                        f"consumed")
-                    stopped = True
-            result.per_series.append(entry)
-            if total_metrics is not None and ctx is not None \
-                    and ctx.metrics is not None:
-                total_metrics.merge(ctx.metrics)
-        result.execution_seconds = exec_seconds
-        return total_metrics
+    def _settle(self, result: QueryResult, plan: PhysicalOperator,
+                exec_plan: PhysicalOperator, query: Query,
+                series_list: List[Series], deadline: Optional[float],
+                pfplan: Optional[PrefilterPlan],
+                pf_totals: Counter) -> Optional[RunMetrics]:
+        """The one per-series pipeline: walk series in order and settle.
 
-    def _execute_parallel(self, result: QueryResult, plan: PhysicalOperator,
-                          exec_plan: PhysicalOperator, query: Query,
-                          series_list: List[Series],
-                          deadline: Optional[float],
-                          pfplan: Optional[PrefilterPlan],
-                          pf_totals: Counter) -> Optional[RunMetrics]:
-        """Fan the per-series loop over a worker pool, then settle.
-
-        Workers run every non-empty series concurrently with the *full*
-        budgets; the merge below walks series in their deterministic
-        order, maintains the exact serial budget remainders, and accepts
-        each worker outcome only when a serial run would have produced
-        the same one.  The single series where a budget boundary falls
-        is replayed serially with the exact remaining budget, so the
-        merged ``QueryResult`` is identical to the serial engine's
+        The walk keeps the exact ``max_matches`` / ``max_segments``
+        remainders.  A pool backend has already run every non-empty
+        series concurrently with the *full* budgets; its outcome for a
+        series is accepted only when a run arriving here with the exact
+        remainders would have produced the same one
+        (:meth:`_needs_replay`).  Every other series — all of them under
+        ``executor='serial'``, where nothing was precomputed, and the
+        one where a budget boundary falls under a pool — is run inline
+        by the same :func:`parallel.run_series` with the exact
+        remainders.  Budget exhaustion is deterministic (it depends only
+        on the series, the plan and the numeric remainder), so every
+        backend settles to the identical ``QueryResult``
         (docs/PARALLELISM.md).
         """
-        from repro.core import parallel as par
+        def task(index: int, series: Series, limit: Optional[int],
+                 segment_budget: Optional[int]) -> par.SeriesTask:
+            return par.SeriesTask(index=index, series=series, limit=limit,
+                                  segment_budget=segment_budget,
+                                  deadline=deadline, analyze=self.analyze,
+                                  vectorize=self.vectorize, prefilter=pfplan)
 
         ledger = None
         if self.max_segments is not None and self.executor == "thread":
             # Cross-worker early-abort for globally blown budgets; the
-            # process backend settles purely at merge time.
+            # process backend settles purely in the walk below.
             ledger = par.SegmentLedger(self.max_segments)
-        tasks = [
-            par.SeriesTask(index=index, series=series,
-                           limit=self.max_matches,
-                           segment_budget=self.max_segments,
-                           deadline=deadline, analyze=self.analyze,
-                           vectorize=self.vectorize, prefilter=pfplan)
-            for index, series in enumerate(series_list) if len(series)
-        ]
+        # Workers never log-and-swallow under 'raise': the first failure
+        # in series order propagates from the walk instead.
+        log_unexpected = self.on_error != "raise"
         outcomes = par.dispatch(
-            self.executor, self.workers, plan, exec_plan, query, tasks,
-            ledger=ledger, log_unexpected=self.on_error != "raise")
+            self.executor, self.workers, plan, exec_plan, query,
+            (task(index, series, self.max_matches, self.max_segments)
+             for index, series in enumerate(series_list) if len(series)),
+            ledger=ledger, log_unexpected=log_unexpected)
 
         total_metrics = RunMetrics() if self.analyze else None
         exec_seconds = 0.0
@@ -524,24 +451,26 @@ class TRexEngine:
                     or (remaining is not None and remaining <= 0):
                 result.per_series.append(SeriesMatches(series.key, []))
                 continue
-            outcome = outcomes[index]
-            if seg_remaining is not None and self._needs_replay(
-                    outcome, seg_remaining):
-                outcome = self._replay_series(
-                    exec_plan, plan, series, query, deadline,
-                    limit=remaining, segment_budget=seg_remaining,
-                    index=index, prefilter=pfplan)
+            outcome = outcomes.get(index)
+            if outcome is None or (
+                    seg_remaining is not None
+                    and self._needs_replay(outcome, seg_remaining)):
+                outcome = par.run_series(
+                    exec_plan, plan, query,
+                    task(index, series, remaining, seg_remaining),
+                    log_unexpected=log_unexpected)
             if outcome.prefilter:
                 pf_totals.update(outcome.prefilter)
             if outcome.error is not None and self.on_error == "raise":
-                # First failure in series order propagates, as in the
-                # serial loop (later workers' results are discarded).
+                # First failure in series order propagates (a pool's
+                # later results are discarded).  Re-raising the captured
+                # object keeps its traceback down to the raising frame.
                 raise outcome.error
             exec_seconds += outcome.seconds
-            # Global max_matches settles deterministically here: each
+            # Global max_matches settles deterministically here: a pool
             # worker kept its positionally-smallest max_matches bounds
-            # (sorted), so the serial engine's per-series remainder is
-            # a plain prefix of the worker's kept list.
+            # (sorted), so the exact remainder's harvest is a plain
+            # prefix of the worker's kept list (a no-op for inline runs).
             entry = SeriesMatches(
                 series.key,
                 truncate_matches(outcome.matches, remaining),
@@ -558,6 +487,7 @@ class TRexEngine:
                     " ".join(str(outcome.error).split()), kind,
                     partial=keep_partial and bool(entry.matches))
                 if kind in ("timeout", "budget"):
+                    # A blown budget is global: stop, return what we have.
                     result.interrupted = True
                     result.degradation = f"{kind}: {entry.error.message}"
                     stopped = True
@@ -579,56 +509,25 @@ class TRexEngine:
         result.execution_seconds = exec_seconds
         return total_metrics
 
-    def _needs_replay(self, outcome, seg_remaining: int) -> bool:
-        """Does the serial budget remainder invalidate this outcome?
+    def _needs_replay(self, outcome: par.SeriesOutcome,
+                      seg_remaining: int) -> bool:
+        """Does the exact budget remainder invalidate this pool outcome?
 
         A worker ran with the *full* ``max_segments`` budget (or was cut
-        short by the shared ledger).  Its outcome stands only if a
-        serial run arriving at this series with ``seg_remaining`` left
+        short by the shared ledger).  Its outcome stands only if an
+        inline run arriving at this series with ``seg_remaining`` left
         would have behaved identically: it charged no more than the
         remainder, and any budget failure happened against exactly the
-        budget the serial run would have used.
+        budget the inline run would have used.
         """
         if outcome.segments_charged > seg_remaining:
             return True
         if outcome.error is None or error_kind(outcome.error) != "budget":
             return False
         # Budget failure against the full budget is only authoritative
-        # when the serial remainder *is* the full budget and the raise
+        # when the exact remainder *is* the full budget and the raise
         # came from the series' own accounting, not the shared ledger.
         return outcome.ledger_exhausted or seg_remaining != self.max_segments
-
-    def _replay_series(self, exec_plan: PhysicalOperator,
-                       plan: PhysicalOperator, series: Series, query: Query,
-                       deadline: Optional[float], limit: Optional[int],
-                       segment_budget: Optional[int], index: int,
-                       prefilter: Optional[PrefilterPlan] = None):
-        """Re-run one series serially with the exact remaining budgets.
-
-        Budget exhaustion is deterministic (it depends only on the
-        series, the plan and the numeric remainder), so this replay
-        reproduces the serial engine's boundary behavior bit-for-bit —
-        including the partial harvest and the precise raise point.
-        Exceptions propagate per the engine's ``on_error`` policy, as
-        they would in the serial loop.
-        """
-        from repro.core import parallel as par
-
-        t2 = time.perf_counter()
-        matches, ctx, error, pf_counters = self._execute_series(
-            exec_plan, series, query, deadline=deadline,
-            limit=limit, segment_budget=segment_budget,
-            prefilter=prefilter)
-        seconds = time.perf_counter() - t2
-        if ctx is not None and ctx.metrics is not None:
-            ctx.metrics.finalize(plan)
-        return par.SeriesOutcome(
-            index=index, matches=matches,
-            stats=ctx.stats if ctx is not None else Counter(),
-            seconds=seconds,
-            metrics=ctx.metrics if ctx is not None else None,
-            segments_charged=ctx.segments_charged if ctx is not None else 0,
-            error=error, prefilter=pf_counters)
 
     def explain_match(self, query: Query, series: Series, start: int,
                       end: int):
@@ -641,60 +540,6 @@ class TRexEngine:
         from repro.core.bruteforce import BruteForceMatcher
         return BruteForceMatcher(query).bindings_for_segment(series, start,
                                                              end)
-
-    def _run_plan(self, plan: PhysicalOperator, series: Series,
-                  query: Query, deadline: Optional[float] = None,
-                  limit: Optional[int] = None,
-                  collect_metrics: bool = False,
-                  segment_budget: Optional[int] = None) \
-            -> Tuple[List[Tuple[int, int]], ExecContext]:
-        """Evaluate ``plan`` over one series; exceptions propagate."""
-        ctx = ExecContext(series, query.registry, deadline=deadline,
-                          metrics=RunMetrics() if collect_metrics else None,
-                          segment_budget=segment_budget,
-                          vectorize=self.vectorize)
-        sink = _MatchSink(limit)
-        sink.consume(plan.eval(ctx, SearchSpace.full(len(series)), {}), ctx)
-        return sink.finish(), ctx
-
-    def _execute_series(self, plan: PhysicalOperator, series: Series,
-                        query: Query, deadline: Optional[float],
-                        limit: Optional[int],
-                        segment_budget: Optional[int],
-                        prefilter: Optional[PrefilterPlan] = None) \
-            -> Tuple[List[Tuple[int, int]], Optional[ExecContext],
-                     Optional[BaseException], Optional[Counter]]:
-        """Run the plan over one series under the engine's error policy.
-
-        Under ``'raise'`` exceptions propagate untouched; otherwise the
-        failure is captured and the sink's partial harvest (sorted,
-        duplicate-free — a subset of the clean run's matches) is
-        returned alongside it.  The final element is the prefilter's
-        decision counters, ``None`` when the prefilter was off/inert.
-        """
-        guarded = self.on_error != "raise"
-        ctx: Optional[ExecContext] = None
-        error: Optional[BaseException] = None
-        pf_counters: Optional[Counter] = None
-        sink = _MatchSink(limit)
-        try:
-            if _faults.ENABLED:
-                _faults.fire("data.series")
-            ctx = ExecContext(series, query.registry, deadline=deadline,
-                              metrics=RunMetrics() if self.analyze else None,
-                              segment_budget=segment_budget,
-                              vectorize=self.vectorize)
-            pf_counters = evaluate_with_prefilter(plan, prefilter, ctx,
-                                                  series, sink)
-        except Exception as exc:  # noqa: BLE001 — policy-gated isolation
-            if not guarded:
-                raise
-            error = exc
-            if not isinstance(exc, TRexError):
-                _logger.exception("series %s failed with a non-library "
-                                  "error (isolated by on_error=%r)",
-                                  series.key, self.on_error)
-        return sink.finish(), ctx, error, pf_counters
 
 
 def find_matches(table: Table, query_text: str,

@@ -1,28 +1,32 @@
-"""Parallel per-series execution backends (docs/PARALLELISM.md).
+"""Per-series execution: the one runner and the pool backends
+(docs/PARALLELISM.md).
 
 T-ReX queries fan out over independent series partitions: the engine
 plans once, then evaluates the same physical plan over every series.
-This module supplies the worker side of that fan-out for
-``TRexEngine(executor='thread'|'process')``:
+This module supplies the per-series side of that:
 
-* :func:`run_series` — the guarded single-series evaluation every
-  backend (and the serial engine, via the engine's own wrapper) shares;
+* :func:`run_series` — the guarded single-series evaluation, the only
+  place an :class:`ExecContext` and a :class:`MatchSink` are built for a
+  query.  The engine's settle loop calls it inline (every series under
+  ``executor='serial'``, the budget-boundary series under a pool) and
+  the pool workers call it with the full budgets;
 * :func:`dispatch` — submit one task per non-empty series to a cached
-  worker pool and collect :class:`SeriesOutcome` records in series
-  order;
+  worker pool and collect :class:`SeriesOutcome` records keyed by series
+  index; the ``serial`` backend precomputes nothing;
 * :class:`SegmentLedger` — a thread-safe, cross-worker ``max_segments``
   ledger so a globally blown budget interrupts in-flight series early
-  (the deterministic settlement happens later, in the engine's merge
-  step, which replays the boundary series with the exact remaining
+  (the deterministic settlement happens later, in the engine's settle
+  loop, which re-runs the boundary series with the exact remaining
   budget);
 * process-backend plumbing: payload pickling (with an automatic
   fall-back to the thread backend when a plan or registry is not
   picklable), deadline re-basing across processes (``perf_counter``
   epochs differ), and re-arming ``TREX_FAULTS`` inside workers.
 
-Workers never raise: every failure is captured on the outcome and
-settled by the engine's merge step so the ``on_error`` policy applies at
-the same, deterministic point a serial run would apply it.
+:func:`run_series` never raises an ``Exception``: every failure is
+captured on the outcome and settled by the engine's loop, so the
+``on_error`` policy applies at one deterministic point under every
+backend.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import pickle
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.sink import MatchSink
 from repro.errors import ResourceBudgetExceeded, TRexError, WorkerCrashed
@@ -46,6 +51,9 @@ from repro.lang.query import Query
 from repro.plan.prefilter import PrefilterPlan, evaluate_with_prefilter
 from repro.testing import faults as _faults
 from repro.timeseries.series import Series
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _logger = logging.getLogger(__name__)
 
@@ -77,7 +85,7 @@ class LedgerExhausted(ResourceBudgetExceeded):
     """The cross-worker segment ledger ran dry.
 
     Distinct from a plain :class:`ResourceBudgetExceeded` so the
-    engine's merge step can tell "this series alone blew its budget"
+    engine's settle loop can tell "this series alone blew its budget"
     from "the *global* ledger was exhausted by concurrent workers" —
     the latter must always be re-settled deterministically.
     """
@@ -89,9 +97,9 @@ class SegmentLedger:
     Workers charge optimistically and concurrently, so the ledger's
     raise point is *not* deterministic — it exists to interrupt
     in-flight series as soon as the whole query has provably exceeded
-    its budget.  Determinism is restored by the engine's merge step,
-    which walks series in order, maintains the exact serial remainder,
-    and replays the boundary series with it (docs/PARALLELISM.md).
+    its budget.  Determinism is restored by the engine's settle loop,
+    which walks series in order, maintains the exact remainder, and
+    re-runs the boundary series with it (docs/PARALLELISM.md).
     """
 
     def __init__(self, cap: int):
@@ -115,7 +123,7 @@ class SegmentLedger:
 
 @dataclass
 class SeriesOutcome:
-    """Everything one worker run produced for one series."""
+    """Everything one :func:`run_series` call produced for one series."""
 
     index: int
     matches: List[Tuple[int, int]] = field(default_factory=list)
@@ -133,7 +141,7 @@ class SeriesOutcome:
 
 @dataclass
 class SeriesTask:
-    """One unit of parallel work: evaluate the plan over one series."""
+    """One unit of work: evaluate the plan over one series."""
 
     index: int
     series: Series
@@ -141,12 +149,12 @@ class SeriesTask:
     segment_budget: Optional[int]
     deadline: Optional[float]
     analyze: bool
-    #: Engine-level vector-kernel toggle, forwarded to the worker's
-    #: ExecContext so serial and parallel runs take the same leaf path.
+    #: Engine-level vector-kernel toggle, forwarded to the ExecContext
+    #: so inline and pool runs take the same leaf path.
     vectorize: Optional[bool] = None
     #: Extracted prefilter plan (plain picklable dataclasses), so every
-    #: backend takes the identical skip/narrow/full decision the serial
-    #: engine would take for this series.
+    #: backend takes the identical skip/narrow/full decision for this
+    #: series.
     prefilter: Optional[PrefilterPlan] = None
 
 
@@ -157,10 +165,13 @@ def run_series(plan: PhysicalOperator, raw_plan: PhysicalOperator,
     """Evaluate ``plan`` over one series, capturing any failure.
 
     ``plan`` may be the instrumented copy (analyze mode); ``raw_plan``
-    is the original tree metrics are finalized against, mirroring the
-    serial engine.  The ``data.series`` fault point fires here, inside
-    the worker, so chaos tests exercise the same injection sites under
-    every backend.
+    is the original tree metrics are finalized against.  The sink's
+    partial harvest (sorted, duplicate-free — a subset of the clean
+    run's matches) is returned alongside a captured failure.  The
+    ``data.series`` fault point fires here, so chaos tests exercise the
+    same injection sites under every backend.  ``log_unexpected`` is
+    off under ``on_error='raise'``, where the engine re-raises the
+    failure instead of isolating it.
     """
     sink = MatchSink(task.limit)
     ctx: Optional[ExecContext] = None
@@ -177,11 +188,11 @@ def run_series(plan: PhysicalOperator, raw_plan: PhysicalOperator,
                           ledger=ledger, vectorize=task.vectorize)
         pf_counters = evaluate_with_prefilter(
             plan, task.prefilter, ctx, task.series, sink)
-    except Exception as exc:  # noqa: BLE001 — settled by the merge step
+    except Exception as exc:  # noqa: BLE001 — settled by the engine loop
         error = exc
         if log_unexpected and not isinstance(exc, TRexError):
             _logger.exception("series %s failed with a non-library error "
-                              "(captured by the parallel executor)",
+                              "(isolated by the on_error policy)",
                               task.series.key)
     seconds = time.perf_counter() - t0
     metrics = ctx.metrics if ctx is not None else None
@@ -242,14 +253,16 @@ def _pickle_safe_error(error: Optional[BaseException]) \
 
 def _process_worker(payload: tuple) -> SeriesOutcome:
     """Module-level process-pool entry point (must be picklable)."""
-    (plan, query, task, deadline_remaining, faults_env) = payload
+    (plan, query, task, deadline_remaining, faults_env,
+     log_unexpected) = payload
     _ensure_worker_faults(faults_env)
     if deadline_remaining is not None:
         # perf_counter epochs are per-process: re-base the deadline on
         # the remaining budget measured at dispatch time.
         task.deadline = time.perf_counter() + deadline_remaining
     exec_plan = instrument_plan(plan) if task.analyze else plan
-    outcome = run_series(exec_plan, plan, query, task)
+    outcome = run_series(exec_plan, plan, query, task,
+                         log_unexpected=log_unexpected)
     outcome.error = _pickle_safe_error(outcome.error)
     return outcome
 
@@ -291,7 +304,10 @@ def _get_process_pool(workers: int) -> ProcessPoolExecutor:
         if _process_pool is None or _process_pool_key != key:
             if _process_pool is not None:
                 _process_pool.shutdown(wait=False)
+            # Imported here so the default serial path, which shares
+            # run_series with the pools, never loads multiprocessing.
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             try:
                 mp_context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover — non-posix platforms
@@ -382,18 +398,22 @@ def _plan_is_picklable(plan: PhysicalOperator, query: Query) -> bool:
 
 def dispatch(backend: str, workers: Optional[int],
              plan: PhysicalOperator, exec_plan: PhysicalOperator,
-             query: Query, tasks: Sequence[SeriesTask],
+             query: Query, tasks: Iterable[SeriesTask],
              ledger: Optional[SegmentLedger] = None,
              log_unexpected: bool = True) -> Dict[int, SeriesOutcome]:
-    """Run every task on the chosen backend; outcomes keyed by index.
+    """Run every task on the chosen pool; outcomes keyed by index.
 
-    The process backend falls back to threads for plans or registries
-    that cannot be pickled (e.g. ad-hoc aggregate classes defined in a
-    test function) — logged, never fatal.  A worker process that dies
-    mid-task surfaces as a :class:`~repro.errors.WorkerCrashed` outcome
-    for every task it took down, so the ``on_error`` policy still
-    applies per series.
+    The ``serial`` backend has no pool and precomputes nothing (``tasks``
+    is not even iterated): the engine's settle loop then runs every
+    series inline.  The process backend falls back to threads for plans
+    or registries that cannot be pickled (e.g. ad-hoc aggregate classes
+    defined in a test function) — logged, never fatal.  A worker process
+    that dies mid-task surfaces as a
+    :class:`~repro.errors.WorkerCrashed` outcome for every task it took
+    down, so the ``on_error`` policy still applies per series.
     """
+    if backend == "serial":
+        return {}
     count = resolve_workers(workers)
     if backend == "process" and not _plan_is_picklable(plan, query):
         _logger.warning(
@@ -421,7 +441,7 @@ def dispatch(backend: str, workers: Optional[int],
         remaining = None
         if task.deadline is not None:
             remaining = max(0.0, task.deadline - now)
-        payload = (plan, query, task, remaining, faults_env)
+        payload = (plan, query, task, remaining, faults_env, log_unexpected)
         futures.append((task, pool.submit(_process_worker, payload)))
     outcomes: Dict[int, SeriesOutcome] = {}
     broken = False

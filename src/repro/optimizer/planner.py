@@ -128,11 +128,11 @@ class CostBasedPlanner:
         if result.op.requires:
             raise PlanError(f"plan root still requires "
                             f"{sorted(result.op.requires)}")
-        from repro.optimizer.validator import validate_plan
-        violations = validate_plan(result.op)
+        from repro.analysis.plan_verify import reference_flow
+        violations = reference_flow(result.op)
         if violations:
             raise PlanError("invalid physical plan: "
-                            + "; ".join(violations))
+                            + "; ".join(diag.message for diag in violations))
         return result.op
 
     def optimize(self, query: Query, logical: LogicalNode,

@@ -91,11 +91,11 @@ class RuleBasedPlanner:
         if missing:
             raise PlanError(f"plan root still requires references "
                             f"{sorted(missing)}")
-        from repro.optimizer.validator import validate_plan
-        violations = validate_plan(result.op)
+        from repro.analysis.plan_verify import reference_flow
+        violations = reference_flow(result.op)
         if violations:
             raise PlanError("invalid physical plan: "
-                            + "; ".join(violations))
+                            + "; ".join(diag.message for diag in violations))
         return result.op
 
     # -- recursive construction ----------------------------------------------

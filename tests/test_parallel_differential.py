@@ -87,19 +87,27 @@ class TestBackendEqualsSerial:
         assert got == expected
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("max_segments", (5, 60, 140, 100_000))
-    def test_global_segment_budget_identical(self, executor, max_segments):
-        # The budget boundary falls mid-way through the series list; the
-        # parallel merge must interrupt at the same series with the same
-        # partial harvest as the serial walk (settlement + replay).
+    @pytest.mark.parametrize(
+        "max_segments, boundary",
+        ((5, 0), (60, 0), (140, 0), (600, 3), (1300, 7), (100_000, None)))
+    def test_global_segment_budget_identical(self, executor, max_segments,
+                                             boundary):
+        # The budget boundary falls on the first series (the full budget
+        # *is* the exact remainder, so a pool outcome may stand), mid-way,
+        # on the last series (every earlier pool outcome accepted, only
+        # the last re-run) or nowhere.  Every backend must interrupt at
+        # the same series with the same partial harvest, degradation text
+        # and SeriesError as the serial walk.
         series_list = workload()
-        expected = signature(run(QUERY_BANK["kleene"], series_list,
-                                 max_segments=max_segments,
-                                 on_error="partial"))
-        got = signature(run(QUERY_BANK["kleene"], series_list,
-                            executor=executor, workers=4,
-                            max_segments=max_segments, on_error="partial"))
-        assert got == expected
+        serial = run(QUERY_BANK["kleene"], series_list,
+                     max_segments=max_segments, on_error="partial")
+        assert serial.interrupted == (boundary is not None)
+        assert [index for index, entry in enumerate(serial.per_series)
+                if entry.error is not None] == \
+            ([] if boundary is None else [boundary])
+        got = run(QUERY_BANK["kleene"], series_list, executor=executor,
+                  workers=4, max_segments=max_segments, on_error="partial")
+        assert signature(got) == signature(serial)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_empty_series_and_tables(self, executor):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import BruteForceMatcher
 from repro.core.engine import TRexEngine
+from repro.core.parallel import SeriesTask, run_series
 from repro.lang.query import compile_query
 from repro.optimizer import costmodel as CM
 from repro.optimizer.rulebased import RuleBasedPlanner, RuleStrategy
@@ -47,6 +48,15 @@ QUERIES = {
 }
 
 
+def run_plan(plan, series, query):
+    outcome = run_series(plan, plan, query, SeriesTask(
+        index=0, series=series, limit=None, segment_budget=None,
+        deadline=None, analyze=False))
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome.matches
+
+
 def random_series(seed, n=22):
     rng = np.random.default_rng(seed)
     return make_series(np.cumsum(rng.normal(0, 1, n)) + 30)
@@ -60,11 +70,8 @@ def test_window_pushdown_preserves_matches(seed, name):
     pushed = build_logical_plan(query, push_windows=True)
     unpushed = build_logical_plan(query, push_windows=False)
     planner = RuleBasedPlanner(RuleStrategy("left", "sm"))
-    engine = TRexEngine()
-    with_push = engine._run_plan(planner.plan(query, pushed), series,
-                                 query)[0]
-    without_push = engine._run_plan(planner.plan(query, unpushed), series,
-                                    query)[0]
+    with_push = run_plan(planner.plan(query, pushed), series, query)
+    without_push = run_plan(planner.plan(query, unpushed), series, query)
     assert with_push == without_push
 
 

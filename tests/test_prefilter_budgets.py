@@ -31,6 +31,16 @@ def _clean():
     clear_cache()
 
 
+@pytest.fixture
+def serial_executor(monkeypatch):
+    # Programmatic fault hit-counts (``@N``) index the *serial*
+    # cross-series firing order, and armed faults are process-local;
+    # under a pool backend the order (and, for processes, the counter
+    # itself) is per-worker.  Concurrent fault semantics are covered by
+    # tests/test_parallel_chaos.py.
+    monkeypatch.delenv("TREX_EXECUTOR", raising=False)
+
+
 SPIKE_TEXT = """
 ORDER BY tstamp
 PATTERN (A & W)
@@ -99,6 +109,7 @@ class TestSegmentCharging:
         assert result.total_matches == 0
 
 
+@pytest.mark.usefixtures("serial_executor")
 class TestIndexProbeFaults:
     def test_raise_propagates_under_on_error_raise(self):
         query, _ = spike_plan()
@@ -168,6 +179,7 @@ class TestIndexProbeFaults:
         assert result.errors[0].error == "DataError"
 
 
+@pytest.mark.usefixtures("serial_executor")
 class TestChaosParity:
     def test_chaos_sweep_keeps_no_false_dismissal(self):
         """Chaos case: every index.probe action that the policies can

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.plan_verify import reference_flow
 from repro.baselines.naive_tree import NaiveTreeExecutor
 from repro.lang.query import compile_query
 from repro.optimizer.planner import CostBasedPlanner
 from repro.optimizer.rulebased import (BASELINE_STRATEGIES_WITH_NOT,
                                        RuleBasedPlanner)
-from repro.optimizer.validator import validate_plan
 from repro.queries import TEMPLATES
 
 from tests.conftest import make_series
@@ -47,7 +47,7 @@ QUERIES = {
 def test_rule_plans_validate(name, strategy):
     query = compile_query(QUERIES[name])
     plan = RuleBasedPlanner(strategy).plan(query)
-    assert validate_plan(plan) == []
+    assert reference_flow(plan) == []
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -56,7 +56,7 @@ def test_cost_plans_validate(name):
     series = [make_series(np.cumsum(rng.normal(0, 1, 40)) + 50)]
     query = compile_query(QUERIES[name])
     plan = CostBasedPlanner().plan(query, None, series)
-    assert validate_plan(plan) == []
+    assert reference_flow(plan) == []
 
 
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
@@ -67,14 +67,14 @@ def test_template_cost_plans_validate(template):
     query = template.compile(template.param_sets()[0])
     series = table.partition(query.partition_by, query.order_by)
     plan = CostBasedPlanner().plan(query, None, series)
-    assert validate_plan(plan) == []
+    assert reference_flow(plan) == []
 
 
 def test_naive_tree_plans_validate():
     query = compile_query(QUERIES["refs"])
     for flavour in ("zstream", "opencep"):
         executor = NaiveTreeExecutor(query, flavour)
-        assert validate_plan(executor.plan) == []
+        assert reference_flow(executor.plan) == []
 
 
 def test_violation_detected():
@@ -93,6 +93,6 @@ def test_violation_detected():
     right = SegGenFilter(consumer, wild)
     plan = SortMergeConcat(left, right, 0, wild,
                            requires=frozenset({"UP"}))
-    violations = validate_plan(plan)
+    violations = reference_flow(plan)
     assert violations
-    assert any("UP" in violation for violation in violations)
+    assert any("UP" in diag.message for diag in violations)
