@@ -6,6 +6,7 @@ Reproduction of "T-ReX: Optimizing Pattern Search on Time Series"
 * :class:`repro.core.engine.TRexEngine` /
   :func:`repro.core.engine.find_matches`
   — run extended-MATCH_RECOGNIZE pattern queries over tables;
+  :class:`repro.core.config.EngineConfig` declares every engine option;
 * :class:`repro.timeseries.Table` / :class:`repro.timeseries.Series`
   — in-memory time-series data model;
 * :func:`repro.lang.compile_query` — parse + bind a query text;
@@ -17,6 +18,7 @@ Reproduction of "T-ReX: Optimizing Pattern Search on Time Series"
 * :mod:`repro.queries` — the 11 query templates of Table 3.
 """
 
+from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine, find_matches
 from repro.core.result import QueryResult
 from repro.lang.query import compile_query
@@ -25,5 +27,5 @@ from repro.timeseries.table import Table
 
 __version__ = "0.1.0"
 
-__all__ = ["TRexEngine", "find_matches", "QueryResult", "compile_query",
-           "Series", "Table", "__version__"]
+__all__ = ["TRexEngine", "EngineConfig", "find_matches", "QueryResult",
+           "compile_query", "Series", "Table", "__version__"]

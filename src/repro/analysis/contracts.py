@@ -53,9 +53,14 @@ NUMERIC_SCOPE: Tuple[str, ...] = ("aggregates", "exec", "index")
 
 #: Files allowed to read clocks/environment (TRX404): the engine
 #: boundary where deadlines are minted, executors selected and metrics
-#: timed.  Everything inside the operator/aggregate layer must receive
-#: time through the :class:`~repro.exec.base.ExecContext`.
+#: timed.  ``core/config.py`` is the *environment* boundary — the only
+#: file that reads ``os.environ`` for an engine option (``TREX_FAULTS``
+#: in ``core/parallel.py`` is fault-injection plumbing, not an option;
+#: tests/test_engine_lint.py pins both).  Everything inside the
+#: operator/aggregate layer must receive time through the
+#: :class:`~repro.exec.base.ExecContext`.
 CLOCK_BOUNDARY_FILES: FrozenSet[str] = frozenset({
+    "core/config.py",
     "core/engine.py",
     "core/parallel.py",
     "exec/metrics.py",
@@ -63,13 +68,10 @@ CLOCK_BOUNDARY_FILES: FrozenSet[str] = frozenset({
 
 #: Specific (file, qualname) functions allowed to read clocks outside
 #: the boundary files.  ``ExecContext.tick`` *is* the deadline check
-#: (``tick_batch`` is its amortized batch form), and the vector-kernel
-#: default toggle is config read at context construction, not inside
-#: operator evaluation.
+#: (``tick_batch`` is its amortized batch form).
 CLOCK_BOUNDARY_FUNCTIONS: FrozenSet[Tuple[str, str]] = frozenset({
     ("exec/base.py", "ExecContext.tick"),
     ("exec/base.py", "ExecContext.tick_batch"),
-    ("exec/vector.py", "default_enabled"),
 })
 
 #: Registered bitwise-exact float comparison sites (TRX501):

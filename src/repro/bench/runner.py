@@ -374,12 +374,11 @@ def run_bench_smoke(out_dir: str, template_name: str = "v_shape",
 
 def run_bench_parallel(out_dir: str, template_name: str = "v_shape",
                        num_series: int = 8, length: int = 200,
-                       workers: int = 4, executor: str = "process",
-                       repeats: int = 3) -> str:
+                       workers: int = 4, repeats: int = 3) -> str:
     """Serial-vs-parallel speedup benchmark; returns the artifact path.
 
     Runs one template instance over ``num_series`` partitions with the
-    serial engine and with the requested parallel backend, asserts the
+    serial engine and with the process backend, asserts the
     results are identical, and records per-run wall times plus the
     speedup in ``BENCH_parallel_<template>.json``.  The recorded
     ``cpu_count`` qualifies the speedup: a single-core runner cannot
@@ -417,10 +416,10 @@ def run_bench_parallel(out_dir: str, template_name: str = "v_shape",
 
     serial_walls, serial_result = run(TRexEngine(executor="serial"))
     parallel_walls, parallel_result = run(
-        TRexEngine(executor=executor, workers=workers))
+        TRexEngine(executor="process", workers=workers))
     assert serial_result.matches_by_key() == \
         parallel_result.matches_by_key(), \
-        f"{executor} executor changed the match set"
+        "process executor changed the match set"
 
     serial_best = min(serial_walls)
     parallel_best = min(parallel_walls)
@@ -430,7 +429,7 @@ def run_bench_parallel(out_dir: str, template_name: str = "v_shape",
         "dataset": dataset_name,
         "num_series": num_series,
         "length": length,
-        "executor": executor,
+        "executor": "process",
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "repeats": repeats,

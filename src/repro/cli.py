@@ -42,11 +42,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from typing import Dict
 
+from repro.core.config import FIELDS as ENGINE_FIELDS
 from repro.core.engine import TRexEngine
 from repro.datasets import DATASET_SHAPES, load
 from repro.datasets.loader import load_csv
@@ -85,17 +87,34 @@ def _resolve_query(args, params):
     raise SystemExit("provide --template, --query or --query-file")
 
 
-def _engine_options(args) -> Dict[str, object]:
-    """Resilience-related engine options shared by query/explain."""
-    return {
-        "on_error": args.on_error,
-        "max_segments": args.max_segments,
-        "timeout_seconds": args.timeout,
-        "executor": args.executor,
-        "workers": args.workers,
-        "prefilter": (None if args.prefilter is None
-                      else args.prefilter == "on"),
-    }
+def _add_engine_flags(parser, skip=()) -> None:
+    """One flag per :class:`EngineConfig` field that declares one."""
+    for spec in ENGINE_FIELDS:
+        meta = spec.metadata
+        if meta["flag"] is None or spec.name in skip:
+            continue
+        # Namespaced so a field can never collide with a command's own
+        # argument (explain --analyze, bench --workers, ...).
+        kwargs = {"dest": "engine_" + spec.name, "default": None,
+                  "help": meta["help"]}
+        if meta["kind"] is bool:
+            kwargs["choices"] = ("on", "off")
+        elif meta["choices"] is not None:
+            kwargs["choices"] = meta["choices"]
+        elif meta["kind"] is not None:
+            kwargs.update(type=meta["kind"], metavar="N")
+        parser.add_argument(meta["flag"], **kwargs)
+
+
+def _engine_overrides(args) -> Dict[str, object]:
+    """The engine options given on the command line, by field name."""
+    overrides: Dict[str, object] = {}
+    for spec in ENGINE_FIELDS:
+        value = getattr(args, "engine_" + spec.name, None)
+        if value is not None:
+            overrides[spec.name] = value == "on" \
+                if spec.metadata["kind"] is bool else value
+    return overrides
 
 
 def _warn_degradations(result) -> None:
@@ -133,8 +152,7 @@ def cmd_query(args) -> int:
     params = _parse_params(args.param)
     query, template = _resolve_query(args, params)
     table = _resolve_table(args, template, query)
-    engine = TRexEngine(optimizer=args.optimizer, sharing=args.sharing,
-                        **_engine_options(args))
+    engine = TRexEngine(**_engine_overrides(args))
     result = engine.execute_query(
         query, table.partition(query.partition_by, query.order_by))
     _warn_degradations(result)
@@ -166,9 +184,8 @@ def cmd_explain(args) -> int:
     query, template = _resolve_query(args, params)
     table = _resolve_table(args, template, query)
     series_list = table.partition(query.partition_by, query.order_by)
+    engine = TRexEngine(analyze=args.analyze, **_engine_overrides(args))
     if args.analyze:
-        engine = TRexEngine(optimizer=args.optimizer, sharing=args.sharing,
-                            analyze=True, **_engine_options(args))
         result = engine.execute_query(query, series_list)
         _warn_degradations(result)
         if args.json:
@@ -181,7 +198,6 @@ def cmd_explain(args) -> int:
         print(result.plan_analyze)
         print(f"\n{result.summary()}")
         return 0
-    engine = TRexEngine(optimizer=args.optimizer, sharing=args.sharing)
     from repro.plan.logical import build_logical_plan
     logical = build_logical_plan(query)
     print("Query:")
@@ -346,8 +362,7 @@ def cmd_bench(args) -> int:
         path = run_bench_parallel(
             args.out, template_name=args.template,
             num_series=max(args.series, 8), length=args.length,
-            workers=args.bench_workers,
-            executor=args.bench_executor)
+            workers=args.bench_workers)
         print(f"wrote {path}")
         return 0
     from repro.bench.runner import run_bench_smoke
@@ -434,23 +449,25 @@ def _parse_dataset_specs(entries):
     return tuple(specs)
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service import QueryService, ServiceConfig
+def _serve_config(args):
+    from repro.service.config import ServiceConfig, default_engine
 
     config = ServiceConfig(host=args.host, port=args.port,
                            workers=args.service_workers,
                            queue_depth=args.queue_depth,
-                           optimizer=args.optimizer,
-                           executor=args.executor or "serial",
-                           engine_workers=args.workers,
-                           default_timeout_seconds=args.timeout or 10.0,
-                           default_on_error=args.on_error,
-                           prefilter=(None if args.prefilter is None
-                                      else args.prefilter == "on"))
+                           engine=dataclasses.replace(
+                               default_engine(), **_engine_overrides(args)))
     if args.serve_dataset:
         config.datasets = _parse_dataset_specs(args.serve_dataset)
+    return config
+
+
+def cmd_serve(args) -> int:
+    import asyncio
+
+    from repro.service import QueryService
+
+    config = _serve_config(args)
 
     async def _run() -> None:
         service = QueryService(config)
@@ -533,34 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--series", type=int, help="series count override")
         p.add_argument("--length", type=int, help="series length override")
         p.add_argument("--time-unit", default="DAY")
-        p.add_argument("--optimizer", default="cost")
-        p.add_argument("--sharing", default="auto",
-                       choices=["auto", "on", "off"])
-        p.add_argument("--on-error", default="raise",
-                       choices=["raise", "skip", "partial"],
-                       help="per-series failure policy (docs/ROBUSTNESS.md)")
-        p.add_argument("--max-segments", type=int, default=None,
-                       metavar="N",
-                       help="abort/degrade once a query materializes more "
-                            "than N segments")
-        p.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="query deadline covering planning + execution")
         p.add_argument("--nan-policy", default="allow",
                        choices=["allow", "raise", "omit"],
                        help="non-finite value handling for --csv input")
-        p.add_argument("--executor", default=None,
-                       choices=["serial", "thread", "process"],
-                       help="per-series execution backend (default: "
-                            "$TREX_EXECUTOR or serial; docs/PARALLELISM.md)")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker-pool size for parallel executors "
-                            "(default: $TREX_WORKERS or a CPU heuristic)")
-        p.add_argument("--prefilter", default=None,
-                       choices=["on", "off"],
-                       help="force the symbolic pruning prefilter on or "
-                            "off (default: $TREX_PREFILTER or off; "
-                            "docs/PREFILTER.md)")
+        _add_engine_flags(p)
 
     q = sub.add_parser("query", help="run a pattern query")
     add_query_options(q)
@@ -628,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--parallel", action="store_true",
                    help="run the serial-vs-parallel speedup benchmark "
                         "instead of the optimizer smoke run")
-    b.add_argument("--executor", dest="bench_executor", default="process",
-                   choices=["thread", "process"],
-                   help="parallel backend for --parallel")
     b.add_argument("--workers", dest="bench_workers", type=int, default=4,
                    help="worker count for --parallel")
     b.add_argument("--vector", action="store_true",
@@ -681,20 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent query executions")
     s.add_argument("--queue-depth", type=int, default=64, metavar="N",
                    help="bounded request queue size (full => shed 503)")
-    s.add_argument("--optimizer", default="cost")
-    s.add_argument("--executor", default=None,
-                   choices=["serial", "thread", "process"],
-                   help="engine execution backend per query")
-    s.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="engine worker-pool size (parallel executors)")
-    s.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="default per-request deadline (default 10)")
-    s.add_argument("--on-error", default="partial",
-                   choices=["raise", "skip", "partial"],
-                   help="default error policy for requests")
-    s.add_argument("--prefilter", default=None, choices=["on", "off"],
-                   help="symbolic pruning prefilter for every request "
-                        "(default: $TREX_PREFILTER or off)")
+    # Engine options for every request; --timeout (default 10) and
+    # --on-error (default partial) are what a request gets when it sends
+    # none, and the executor defaults to serial whatever $TREX_EXECUTOR
+    # says (docs/SERVICE.md).  A segment budget is a tenant quota
+    # (TenantConfig.max_segments), not a service-wide flag.
+    _add_engine_flags(s, skip=("max_segments",))
     s.set_defaults(fn=cmd_serve)
 
     lg = sub.add_parser("loadgen", help="drive a query service with a "

@@ -22,12 +22,12 @@ indexes entirely.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import parallel as par
+from repro.core.config import EngineConfig, PlannerSpec
 from repro.core.plancache import PlanCache
 from repro.core.result import QueryResult, SeriesError, SeriesMatches
 from repro.core.sink import truncate_matches
@@ -39,11 +39,8 @@ from repro.lang.query import Query, compile_query
 from repro.plan.logical import LogicalNode, build_logical_plan
 from repro.plan.prefilter import (PrefilterPlan, extract_prefilter,
                                   prefilter_report)
-from repro.plan.prefilter import default_enabled as _prefilter_default
 from repro.timeseries.series import Series
 from repro.timeseries.table import Table
-
-PlannerSpec = Union[str, "RuleStrategy"]
 
 _logger = logging.getLogger(__name__)
 
@@ -62,112 +59,26 @@ def _resolve_rule_strategy(label: str):
 class TRexEngine:
     """Pattern-search engine over historical time series."""
 
-    def __init__(self, optimizer: PlannerSpec = "cost",
-                 sharing: str = "auto",
-                 timeout_seconds: Optional[float] = None,
-                 max_matches: Optional[int] = None,
-                 lint: bool = False,
-                 analyze: bool = False,
-                 on_error: str = "raise",
-                 max_segments: Optional[int] = None,
-                 planning_timeout_seconds: Optional[float] = None,
-                 executor: Optional[str] = None,
-                 workers: Optional[int] = None,
+    def __init__(self, config: Optional[EngineConfig] = None, *,
                  plan_cache: Union[bool, PlanCache, None] = None,
-                 vectorize: Optional[bool] = None,
-                 prefilter: Optional[bool] = None):
-        if sharing not in ("auto", "on", "off"):
-            raise PlanError(f"sharing must be 'auto', 'on' or 'off', "
-                            f"got {sharing!r}")
-        if on_error not in ("raise", "skip", "partial"):
-            raise PlanError(f"on_error must be 'raise', 'skip' or "
-                            f"'partial', got {on_error!r}")
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise PlanError("timeout_seconds must be positive")
-        if max_matches is not None and max_matches <= 0:
-            raise PlanError("max_matches must be positive")
-        if max_segments is not None and max_segments <= 0:
-            raise PlanError("max_segments must be positive")
-        if planning_timeout_seconds is not None \
-                and planning_timeout_seconds <= 0:
-            raise PlanError("planning_timeout_seconds must be positive")
-        if executor is None:
-            executor = os.environ.get("TREX_EXECUTOR") or "serial"
-        if executor not in ("serial", "thread", "process"):
-            raise PlanError(f"executor must be 'serial', 'thread' or "
-                            f"'process', got {executor!r}")
-        if workers is not None and workers < 1:
-            raise PlanError("workers must be >= 1")
-        if vectorize is not None and not isinstance(vectorize, bool):
-            raise PlanError(f"vectorize must be True, False or None, "
-                            f"got {vectorize!r}")
-        if prefilter is not None and not isinstance(prefilter, bool):
-            raise PlanError(f"prefilter must be True, False or None, "
-                            f"got {prefilter!r}")
-        self.optimizer = optimizer
-        self.sharing = sharing
-        #: Wall-clock budget for one execute_query() call, planning
-        #: included.  Exceeding it raises
-        #: :class:`repro.errors.QueryTimeout` under ``on_error='raise'``
-        #: or degrades gracefully otherwise (docs/ROBUSTNESS.md).
-        self.timeout_seconds = timeout_seconds
-        #: Stop after this many matches across all series; the kept
-        #: subset is the positionally-smallest matches, so it is
-        #: deterministic across planners.
-        self.max_matches = max_matches
-        #: Run the static analyzer before planning: reject queries with
-        #: lint errors (:class:`repro.errors.QueryLintError`), log
-        #: warnings.
-        self.lint = lint
-        #: EXPLAIN ANALYZE mode: collect per-operator runtime metrics on
-        #: the result (``QueryResult.op_metrics`` / ``plan_analyze``).
-        self.analyze = analyze
-        #: Error policy: ``'raise'`` propagates the first failure
-        #: (byte-identical to the pre-policy engine); ``'skip'`` records
-        #: a :class:`SeriesError` and drops the failing series' matches;
-        #: ``'partial'`` additionally keeps the matches found before the
-        #: failure.  See the policy matrix in docs/ROBUSTNESS.md.
-        self.on_error = on_error
-        #: Query-global budget on materialized/retained segments (a
-        #: memory proxy), enforced via :meth:`ExecContext.charge` in the
-        #: materializing operators and the result sink.
-        self.max_segments = max_segments
-        #: Separate budget for cost-based planning only; exhausting it
-        #: triggers the rule-based (``pr_left``) planner fallback
-        #: instead of failing the query.
-        self.planning_timeout_seconds = planning_timeout_seconds
-        #: Per-series execution backend: ``'serial'`` (byte-identical to
-        #: the historical engine), ``'thread'`` or ``'process'``.  When
-        #: the constructor argument is None the ``TREX_EXECUTOR``
-        #: environment variable decides (docs/PARALLELISM.md).
-        self.executor = executor
-        #: Worker-pool size for the parallel backends; None defers to
-        #: ``TREX_WORKERS`` or a CPU-count heuristic at dispatch time.
-        self.workers = workers
+                 **options: object):
+        if config is None:
+            config = EngineConfig(**options)
+        elif options:
+            raise TypeError("pass an EngineConfig or keyword options, "
+                            "not both")
+        #: Every option of this engine (:class:`EngineConfig` documents
+        #: and validates them); the engine keeps no second copy.
+        self.config = config
         #: Keyed compile/plan cache (:mod:`repro.core.plancache`):
         #: ``True`` builds an engine-private cache, or pass a shared
-        #: :class:`PlanCache`.
+        #: :class:`PlanCache`.  A resource, not an option, so it is not
+        #: part of the (frozen, picklable) config.
         if plan_cache is True:
             plan_cache = PlanCache()
         elif plan_cache is False:
             plan_cache = None
         self.plan_cache: Optional[PlanCache] = plan_cache
-        #: Vectorized leaf kernels (:mod:`repro.exec.vector`): ``True``
-        #: forces the numpy batch path for supported leaf conditions,
-        #: ``False`` forces the scalar loops, ``None`` defers to the
-        #: ``TREX_VECTOR`` environment variable at context construction
-        #: (docs/VECTORIZATION.md).  Results are byte-identical either
-        #: way; the toggle exists for benchmarking and differential
-        #: testing.
-        self.vectorize = vectorize
-        #: Symbolic-index prefilter (:mod:`repro.plan.prefilter`):
-        #: ``True`` probes per-series summaries to skip series or narrow
-        #: the root search space before the full matcher runs, ``False``
-        #: forces the classic full scan, ``None`` defers to the
-        #: ``TREX_PREFILTER`` environment variable per query
-        #: (docs/PREFILTER.md).  Pruning is lossless: matches and error
-        #: records are byte-identical either way.
-        self.prefilter = prefilter
         #: Reason string for the most recent build_plan() fallback, or
         #: None when the requested planner was used.
         self.last_planner_fallback: Optional[str] = None
@@ -208,8 +119,8 @@ class TRexEngine:
         from repro.optimizer.rulebased import RuleBasedPlanner, RuleStrategy
 
         self.last_planner_fallback = None
-        sharing = self.sharing
-        optimizer = self.optimizer
+        sharing = self.config.sharing
+        optimizer = self.config.optimizer
         leaf_sharing = "off" if sharing == "off" else "on"
         if isinstance(optimizer, RuleStrategy) or (
                 isinstance(optimizer, str)
@@ -260,8 +171,7 @@ class TRexEngine:
     def _plan_with_cache(self, query: Query, logical: LogicalNode,
                          non_empty: List[Series],
                          deadline: Optional[float],
-                         planning_deadline: Optional[float],
-                         prefilter: bool) \
+                         planning_deadline: Optional[float]) \
             -> Tuple[PhysicalOperator, Optional[str],
                      Optional[PrefilterPlan]]:
         """build_plan() through the plan cache; returns (plan, status,
@@ -276,30 +186,27 @@ class TRexEngine:
         repeat queries from re-walking the condition ASTs).
         """
         cache = self.plan_cache
-        if cache is None:
-            plan = self.build_plan(query, logical, non_empty,
-                                   deadline=deadline,
-                                   planning_deadline=planning_deadline)
-            pfplan = extract_prefilter(query, logical) if prefilter else None
-            return plan, None, pfplan
-        key = cache.plan_key(query, self.optimizer, self.sharing, non_empty,
-                             prefilter=prefilter)
-        entry = cache.get_plan(key)
-        if entry is not None:
-            plan, fallback, pfplan = entry
-            self.last_planner_fallback = fallback
-            return plan, "hit", pfplan
+        if cache is not None:
+            key = cache.plan_key(query, self.config, non_empty)
+            entry = cache.get_plan(key)
+            if entry is not None:
+                plan, self.last_planner_fallback, pfplan = entry
+                return plan, "hit", pfplan
         plan = self.build_plan(query, logical, non_empty,
                                deadline=deadline,
                                planning_deadline=planning_deadline)
-        pfplan = extract_prefilter(query, logical) if prefilter else None
+        pfplan = extract_prefilter(query, logical) \
+            if self.config.prefilter else None
+        if cache is None:
+            return plan, None, pfplan
         cache.put_plan(key, (plan, self.last_planner_fallback, pfplan))
         return plan, "miss", pfplan
 
     def execute_query(self, query: Query,
                       table: Union[Table, List[Series]]) -> QueryResult:
         """Plan and execute a bound query."""
-        if self.lint:
+        config = self.config
+        if config.lint:
             self._lint_query(query)
         if isinstance(table, Table):
             series_list = table.partition(query.partition_by, query.order_by)
@@ -317,19 +224,16 @@ class TRexEngine:
         # (and the DP/sampling inside it) cannot blow the query budget.
         t0 = time.perf_counter()
         deadline = None
-        if self.timeout_seconds is not None:
-            deadline = t0 + self.timeout_seconds
+        if config.timeout_seconds is not None:
+            deadline = t0 + config.timeout_seconds
         planning_deadline = None
-        if self.planning_timeout_seconds is not None:
-            planning_deadline = t0 + self.planning_timeout_seconds
-        prefilter_on = self.prefilter if self.prefilter is not None \
-            else _prefilter_default()
+        if config.planning_timeout_seconds is not None:
+            planning_deadline = t0 + config.planning_timeout_seconds
         try:
             plan, cache_status, pfplan = self._plan_with_cache(
-                query, logical, non_empty, deadline, planning_deadline,
-                prefilter_on)
+                query, logical, non_empty, deadline, planning_deadline)
         except QueryTimeout as exc:
-            if self.on_error == "raise":
+            if config.on_error == "raise":
                 raise
             result.planning_seconds = time.perf_counter() - t0
             result.interrupted = True
@@ -347,7 +251,7 @@ class TRexEngine:
             result.plan_cache = counters
         # Analyze mode evaluates an instrumented shallow copy; the
         # original plan is untouched, so disabled mode pays nothing.
-        exec_plan = instrument_plan(plan) if self.analyze else plan
+        exec_plan = instrument_plan(plan) if config.analyze else plan
         pf_totals: Counter = Counter()
         try:
             total_metrics = self._settle(
@@ -361,7 +265,7 @@ class TRexEngine:
             # and the result is marked interrupted (docs/ROBUSTNESS.md).
             # Under a pool backend the interrupt lands while waiting for
             # the pool, before the walk: no series has completed.
-            if self.on_error == "raise":
+            if config.on_error == "raise":
                 raise
             total_metrics = None
             done = len(result.per_series)
@@ -370,7 +274,7 @@ class TRexEngine:
             result.interrupted = True
             result.degradation = "interrupted: KeyboardInterrupt (SIGINT)"
         result.execution_wall_seconds = time.perf_counter() - t1
-        if prefilter_on:
+        if config.prefilter:
             result.prefilter = prefilter_report(pfplan, pf_totals)
         if total_metrics is not None:
             total_metrics.finalize(plan)
@@ -420,31 +324,23 @@ class TRexEngine:
         backend settles to the identical ``QueryResult``
         (docs/PARALLELISM.md).
         """
+        config = self.config
+
         def task(index: int, series: Series, limit: Optional[int],
                  segment_budget: Optional[int]) -> par.SeriesTask:
             return par.SeriesTask(index=index, series=series, limit=limit,
                                   segment_budget=segment_budget,
-                                  deadline=deadline, analyze=self.analyze,
-                                  vectorize=self.vectorize, prefilter=pfplan)
+                                  deadline=deadline, prefilter=pfplan)
 
-        ledger = None
-        if self.max_segments is not None and self.executor == "thread":
-            # Cross-worker early-abort for globally blown budgets; the
-            # process backend settles purely in the walk below.
-            ledger = par.SegmentLedger(self.max_segments)
-        # Workers never log-and-swallow under 'raise': the first failure
-        # in series order propagates from the walk instead.
-        log_unexpected = self.on_error != "raise"
         outcomes = par.dispatch(
-            self.executor, self.workers, plan, exec_plan, query,
-            (task(index, series, self.max_matches, self.max_segments)
-             for index, series in enumerate(series_list) if len(series)),
-            ledger=ledger, log_unexpected=log_unexpected)
+            config, plan, query,
+            (task(index, series, config.max_matches, config.max_segments)
+             for index, series in enumerate(series_list) if len(series)))
 
-        total_metrics = RunMetrics() if self.analyze else None
+        total_metrics = RunMetrics() if config.analyze else None
         exec_seconds = 0.0
-        remaining = self.max_matches
-        seg_remaining = self.max_segments
+        remaining = config.max_matches
+        seg_remaining = config.max_segments
         stopped = False
         for index, series in enumerate(series_list):
             if stopped or len(series) == 0 \
@@ -457,11 +353,10 @@ class TRexEngine:
                     and self._needs_replay(outcome, seg_remaining)):
                 outcome = par.run_series(
                     exec_plan, plan, query,
-                    task(index, series, remaining, seg_remaining),
-                    log_unexpected=log_unexpected)
+                    task(index, series, remaining, seg_remaining), config)
             if outcome.prefilter:
                 pf_totals.update(outcome.prefilter)
-            if outcome.error is not None and self.on_error == "raise":
+            if outcome.error is not None and config.on_error == "raise":
                 # First failure in series order propagates (a pool's
                 # later results are discarded).  Re-raising the captured
                 # object keeps its traceback down to the raising frame.
@@ -479,7 +374,7 @@ class TRexEngine:
                 metrics=outcome.metrics)
             if outcome.error is not None:
                 kind = error_kind(outcome.error)
-                keep_partial = self.on_error == "partial"
+                keep_partial = config.on_error == "partial"
                 if not keep_partial:
                     entry.matches = []
                 entry.error = SeriesError(
@@ -497,10 +392,10 @@ class TRexEngine:
                 seg_remaining = max(
                     0, seg_remaining - outcome.segments_charged)
                 if seg_remaining == 0 and not stopped \
-                        and self.on_error != "raise":
+                        and config.on_error != "raise":
                     result.interrupted = True
                     result.degradation = (
-                        f"budget: max_segments={self.max_segments} "
+                        f"budget: max_segments={config.max_segments} "
                         f"consumed")
                     stopped = True
             result.per_series.append(entry)
@@ -513,21 +408,20 @@ class TRexEngine:
                       seg_remaining: int) -> bool:
         """Does the exact budget remainder invalidate this pool outcome?
 
-        A worker ran with the *full* ``max_segments`` budget (or was cut
-        short by the shared ledger).  Its outcome stands only if an
-        inline run arriving at this series with ``seg_remaining`` left
-        would have behaved identically: it charged no more than the
-        remainder, and any budget failure happened against exactly the
-        budget the inline run would have used.
+        A worker ran with the *full* ``max_segments`` budget.  Its
+        outcome stands only if an inline run arriving at this series
+        with ``seg_remaining`` left would have behaved identically: it
+        charged no more than the remainder, and any budget failure
+        happened against exactly the budget the inline run would have
+        used.
         """
         if outcome.segments_charged > seg_remaining:
             return True
         if outcome.error is None or error_kind(outcome.error) != "budget":
             return False
         # Budget failure against the full budget is only authoritative
-        # when the exact remainder *is* the full budget and the raise
-        # came from the series' own accounting, not the shared ledger.
-        return outcome.ledger_exhausted or seg_remaining != self.max_segments
+        # when the exact remainder *is* the full budget.
+        return seg_remaining != self.config.max_segments
 
     def explain_match(self, query: Query, series: Series, start: int,
                       end: int):

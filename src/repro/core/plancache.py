@@ -9,9 +9,10 @@ stages:
 
 * ``compile`` — ``(query_text, params, registry)`` → bound
   :class:`~repro.lang.query.Query`;
-* ``plan`` — ``(bound query fingerprint, planner, sharing, prefilter
-  toggle, data-stats fingerprint)`` → ``(physical plan,
-  planner_fallback reason, extracted prefilter plan)``.
+* ``plan`` — ``(bound query fingerprint,
+  EngineConfig.plan_fingerprint() = planner, sharing, prefilter,
+  data-stats fingerprint)`` → ``(physical plan, planner_fallback
+  reason, extracted prefilter plan)``.
 
 Keying rules (the guard rails):
 
@@ -37,6 +38,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.aggregates.registry import DEFAULT_REGISTRY, AggregateRegistry
+from repro.core.config import EngineConfig
 from repro.exec.base import PhysicalOperator
 from repro.lang.query import Query, compile_query
 from repro.timeseries.series import Series
@@ -91,7 +93,7 @@ class PlanCache:
 
         cache = PlanCache()
         engine_a = TRexEngine(plan_cache=cache)
-        engine_b = TRexEngine(executor="thread", plan_cache=cache)
+        engine_b = TRexEngine(executor="process", plan_cache=cache)
 
     or pass ``plan_cache=True`` for an engine-private cache.
     """
@@ -132,20 +134,19 @@ class PlanCache:
     # -- plan stage ---------------------------------------------------------
 
     @staticmethod
-    def plan_key(query: Query, optimizer, sharing: str,
-                 series_list: Sequence[Series],
-                 prefilter: bool = False) -> tuple:
-        """Cache key for one (bound query, planner, data) combination.
+    def plan_key(query: Query, config: EngineConfig,
+                 series_list: Sequence[Series]) -> tuple:
+        """Cache key for one (bound query, engine options, data)
+        combination.
 
-        ``prefilter`` is part of the key because entries built with the
-        prefilter enabled additionally carry the extracted
+        ``prefilter`` is among the options because entries built with it
+        enabled additionally carry the extracted
         :class:`~repro.plan.prefilter.PrefilterPlan`; the *physical
         plan* inside the entry is identical either way (planning never
         depends on the toggle — docs/PREFILTER.md).
         """
-        label = getattr(optimizer, "label", None) or str(optimizer)
-        return (query.describe(), id(query.registry), label, sharing,
-                bool(prefilter), stats_fingerprint(series_list))
+        return (query.describe(), id(query.registry),
+                *config.plan_fingerprint(), stats_fingerprint(series_list))
 
     def get_plan(self, key: tuple) -> Optional[PlanEntry]:
         with self._lock:

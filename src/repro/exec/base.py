@@ -24,7 +24,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
 from repro.aggregates.base import Aggregate, AggregateIndex
 from repro.aggregates.registry import DEFAULT_REGISTRY, AggregateRegistry
 from repro.errors import ExecutionError, QueryTimeout, ResourceBudgetExceeded
-from repro.exec.vector import default_enabled as _vector_default_enabled
 from repro.testing import faults as _faults
 from repro.lang import expr as E
 from repro.lang.windows import WindowConjunction
@@ -33,7 +32,6 @@ from repro.timeseries.segment import Segment
 from repro.timeseries.series import Series
 
 if TYPE_CHECKING:
-    from repro.core.parallel import SegmentLedger as SegmentLedgerLike
     from repro.exec.metrics import RunMetrics
 
 Env = Dict[str, Tuple[int, int]]
@@ -102,8 +100,7 @@ class ExecContext:
                  deadline: Optional[float] = None,
                  metrics: Optional["RunMetrics"] = None,
                  segment_budget: Optional[int] = None,
-                 ledger: Optional["SegmentLedgerLike"] = None,
-                 vectorize: Optional[bool] = None):
+                 vectorize: bool = True):
         self.series = series
         self.registry = registry
         self.stats: Counter = Counter()
@@ -123,16 +120,8 @@ class ExecContext:
         #: Segments charged against the budget so far (engine-accounted
         #: across series when the budget is global to a query).
         self.segments_charged = 0
-        #: Optional cross-series budget ledger shared by concurrent
-        #: workers (see :class:`repro.core.parallel.SegmentLedger`).
-        #: Serial execution never sets one, so its accounting is
-        #: untouched by the parallel engine.
-        self.ledger = ledger
         #: Whether eligible leaves may take the vectorized kernel path
-        #: (repro.exec.vector).  ``None`` defers to the process default
-        #: (the ``TREX_VECTOR`` environment toggle).
-        if vectorize is None:
-            vectorize = _vector_default_enabled()
+        #: (repro.exec.vector; ``EngineConfig.vectorize``).
         self.vectorize = vectorize
         #: Per-plan-op bind cache for the vector path: op_id -> resolved
         #: interval constants, or ``None`` for "fell back to scalar on
@@ -187,8 +176,6 @@ class ExecContext:
             raise ResourceBudgetExceeded(
                 f"query exceeded max_segments={self.segment_budget} "
                 f"({self.segments_charged} segments materialized)")
-        if self.ledger is not None:
-            self.ledger.charge(n)
 
     def aggregate_index(self, agg: Aggregate, call: E.AggCall,
                         extra: Tuple[float, ...]) -> AggregateIndex:

@@ -38,7 +38,6 @@ batch of at most :data:`BATCH_SIZE` candidates.
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Tuple)
@@ -73,17 +72,6 @@ _INDEXED_VECTOR_AGGS = frozenset(
 #: and ``avg`` are excluded here: ``np.sum`` over a slice uses pairwise
 #: accumulation, which a batched left-fold cannot reproduce bit-for-bit.
 _DIRECT_VECTOR_AGGS = frozenset({"count", "min", "max"})
-
-
-def default_enabled() -> bool:
-    """Process-wide default for the vectorize toggle.
-
-    ``TREX_VECTOR=0`` (or ``off``/``false``/``no``) disables the vector
-    path for contexts that don't pin ``vectorize=`` explicitly
-    (docs/VECTORIZATION.md).
-    """
-    raw = os.environ.get("TREX_VECTOR", "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -63,19 +62,6 @@ from repro.testing import faults as _faults
 from repro.timeseries.series import Series
 
 _logger = logging.getLogger(__name__)
-
-
-def default_enabled() -> bool:
-    """Process-wide default for the prefilter toggle.
-
-    ``TREX_PREFILTER=1`` (or ``on``/``true``/``yes``) enables the
-    prefilter for engines that don't pin ``prefilter=`` explicitly.
-    Unlike ``TREX_VECTOR`` the default is *off*: the prefilter changes
-    which work runs (not just how leaves are evaluated), so enabling it
-    is an explicit opt-in (docs/PREFILTER.md).
-    """
-    raw = os.environ.get("TREX_PREFILTER", "0").strip().lower()
-    return raw in ("1", "on", "true", "yes")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ HTTP/JSON API with a full serving-resilience layer:
 
 Request execution itself runs on a thread pool so the event loop only
 ever frames bytes and schedules work; the engine below may additionally
-fan out per-series work to its own thread/process pools
-(docs/PARALLELISM.md), which are warmed at startup and reused across
+fan out per-series work to its own process pool
+(docs/PARALLELISM.md), which is warmed at startup and reused across
 requests.
 """
 
@@ -33,16 +33,18 @@ import itertools
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.core import parallel as _parallel
+from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine
 from repro.core.plancache import PlanCache
 from repro.core.result import QueryResult
-from repro.errors import (AdmissionRejected, QueryTimeout, ServiceError,
-                          ServiceOverloaded, ServiceUnavailable, TRexError,
-                          error_kind, exit_code)
+from repro.errors import (AdmissionRejected, PlanError, QueryTimeout,
+                          ServiceError, ServiceOverloaded,
+                          ServiceUnavailable, TRexError, error_kind,
+                          exit_code)
 from repro.lang.query import Query
 from repro.service import http as _http
 from repro.service.admission import AdmissionController, AdmissionTicket
@@ -100,10 +102,9 @@ class _PendingQuery:
     tenant: str
     query: Query
     table: Table
-    on_error: str
-    timeout_seconds: float
-    max_segments: Optional[int]
-    limit: Optional[int]
+    #: The request's engine: ``config.engine`` with the request's own
+    #: fields replaced (``timeout_seconds`` = the clamped deadline).
+    engine: EngineConfig
     ticket: AdmissionTicket
     enqueued_at: float
     deadline: float
@@ -160,8 +161,7 @@ class QueryService:
     async def start(self) -> Tuple[str, int]:
         """Bind the listener and start the execution workers."""
         self.load_datasets()
-        _parallel.warm_pools(self.config.executor,
-                             self.config.engine_workers)
+        _parallel.warm_pools(self.config.engine)
         _parallel.set_crash_listener(
             lambda _desc: self.metrics.counters.add("worker_crashes"))
         self._server = await asyncio.start_server(
@@ -342,11 +342,7 @@ class QueryService:
         try:
             query, table = self._bind_request(body)
             tenant_config = self.admission.tenant(tenant_name).config
-            timeout = float(body.get(
-                "timeout_seconds", self.config.default_timeout_seconds))
-            if timeout <= 0:
-                raise ServiceError("timeout_seconds must be positive")
-            timeout = min(timeout, tenant_config.max_timeout_seconds)
+            defaults = self.config.engine
             max_segments = body.get("max_segments",
                                     tenant_config.max_segments)
             if max_segments is not None:
@@ -354,24 +350,31 @@ class QueryService:
                 if tenant_config.max_segments is not None:
                     max_segments = min(max_segments,
                                        tenant_config.max_segments)
-            on_error = str(body.get("on_error",
-                                    self.config.default_on_error))
-            if on_error not in ("raise", "skip", "partial"):
-                raise ServiceError(f"on_error must be 'raise', 'skip' or "
-                                   f"'partial', got {on_error!r}")
             limit = body.get("limit")
-            if limit is not None:
-                limit = int(limit)
-                if limit < 1:
-                    raise ServiceError("limit must be >= 1")
+            try:
+                # EngineConfig validates the request's knobs exactly as
+                # it validates everyone else's; out here that is the
+                # client's fault (400), not a planning failure.
+                engine = replace(
+                    defaults,
+                    timeout_seconds=min(
+                        float(body.get("timeout_seconds",
+                                       defaults.timeout_seconds)),
+                        tenant_config.max_timeout_seconds),
+                    max_matches=None if limit is None else int(limit),
+                    on_error=str(body.get("on_error", defaults.on_error)),
+                    max_segments=max_segments)
+            except PlanError as exc:
+                # Name the request's key, not the engine field behind it.
+                raise ServiceError(
+                    str(exc).replace("max_matches", "limit")) from None
             now = time.monotonic()
             loop = asyncio.get_running_loop()
             item = _PendingQuery(
                 request_id=next(self._request_ids),
                 tenant=tenant_name, query=query, table=table,
-                on_error=on_error, timeout_seconds=timeout,
-                max_segments=max_segments, limit=limit, ticket=ticket,
-                enqueued_at=now, deadline=now + timeout)
+                engine=engine, ticket=ticket, enqueued_at=now,
+                deadline=now + engine.timeout_seconds)
             item.future = loop.create_future()
             return item
         except BaseException:
@@ -503,18 +506,14 @@ class QueryService:
         remaining = item.deadline - time.monotonic()
         if remaining <= 0:
             raise QueryTimeout(
-                f"deadline expired after {item.timeout_seconds:.3f}s "
+                f"deadline expired after {item.engine.timeout_seconds:.3f}s "
                 f"(queued too long)")
         override = self.breaker.planner_override()
-        planner = override or self.config.optimizer
+        planner = override or item.engine.optimizer
         engine = TRexEngine(
-            optimizer=planner, sharing=self.config.sharing,
-            timeout_seconds=remaining, max_matches=item.limit,
-            on_error=item.on_error, max_segments=item.max_segments,
-            executor=self.config.executor,
-            workers=self.config.engine_workers,
-            plan_cache=self.plan_cache, vectorize=self.config.vectorize,
-            prefilter=self.config.prefilter)
+            replace(item.engine, optimizer=planner,
+                    timeout_seconds=remaining),
+            plan_cache=self.plan_cache)
         result = engine.execute_query(item.query, item.table)
         if result.prefilter:
             for key in ("series_examined", "series_skipped",
@@ -529,7 +528,7 @@ class QueryService:
                 self.breaker.record_fallback()
             else:
                 self.breaker.record_success(
-                    self.config.optimizer in ("cost", "batch"))
+                    self.config.engine.optimizer in ("cost", "batch"))
         return result, planner
 
     def _observe_exec_seconds(self, seconds: float) -> None:

@@ -2,17 +2,18 @@
 
 Everything the service tunes lives here as plain dataclasses so the CLI
 (``repro serve``), the load generator's self-hosting mode and the tests
-construct services the same way.  Budgets deliberately reuse the
-engine's own vocabulary (``max_segments``, ``timeout_seconds``,
-``on_error``) — a tenant quota is just a cap on what a request may ask
-the engine for.
+construct services the same way.  The engine's options are not
+re-declared: :attr:`ServiceConfig.engine` *is* an
+:class:`~repro.core.config.EngineConfig`, and a tenant quota is just a
+cap on what a request may ask the engine for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.config import EngineConfig
 from repro.errors import ServiceError
 
 
@@ -97,6 +98,18 @@ class BreakerConfig:
             raise ServiceError("breaker windows must be positive")
 
 
+def default_engine() -> EngineConfig:
+    """The service's engine unless configured otherwise.
+
+    Pins ``executor='serial'`` (``TREX_EXECUTOR`` is *not* consulted):
+    the service's parallelism is request-level, one engine per
+    in-flight request.  Requests default to a 10 s deadline and keep
+    what a failing series found (docs/SERVICE.md).
+    """
+    return EngineConfig(executor="serial", timeout_seconds=10.0,
+                        on_error="partial")
+
+
 @dataclass
 class ServiceConfig:
     """Everything one :class:`~repro.service.app.QueryService` needs."""
@@ -109,24 +122,17 @@ class ServiceConfig:
         ("sp500", 4, 120),
         ("weather", 4, 120),
     )
-    #: Engine options shared by every request.
-    optimizer: str = "cost"
-    sharing: str = "auto"
-    executor: str = "serial"
-    engine_workers: Optional[int] = None
-    vectorize: Optional[bool] = None
-    #: Symbolic pruning prefilter (docs/PREFILTER.md); ``None`` defers
-    #: to ``TREX_PREFILTER``.
-    prefilter: Optional[bool] = None
+    #: The engine every request runs on, as given except for the four
+    #: options a request carries: ``timeout_seconds`` and ``on_error``
+    #: are the defaults for requests that do not send their own, while
+    #: ``max_matches``/``max_segments`` are always replaced per request
+    #: (body ``limit``; body or tenant ``max_segments``).
+    engine: EngineConfig = field(default_factory=default_engine)
     #: Service concurrency: how many queries execute at once (each on
     #: its own thread so the asyncio loop stays responsive).
     workers: int = 4
     #: Bounded request queue; a full queue sheds with HTTP 503.
     queue_depth: int = 64
-    #: Default per-request deadline when the client does not send one.
-    default_timeout_seconds: float = 10.0
-    #: Error policy requests run under unless they override it.
-    default_on_error: str = "partial"
     default_tenant: TenantConfig = field(default_factory=TenantConfig)
     tenants: Dict[str, TenantConfig] = field(default_factory=dict)
     retry: RetryConfig = field(default_factory=RetryConfig)
@@ -139,14 +145,9 @@ class ServiceConfig:
             raise ServiceError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ServiceError("queue_depth must be >= 1")
-        if self.default_timeout_seconds <= 0:
-            raise ServiceError("default_timeout_seconds must be positive")
-        if self.default_on_error not in ("raise", "skip", "partial"):
-            raise ServiceError("default_on_error must be 'raise', 'skip' "
-                               "or 'partial'")
-        if self.executor not in ("serial", "thread", "process"):
-            raise ServiceError("executor must be 'serial', 'thread' or "
-                               "'process'")
+        if self.engine.timeout_seconds is None:
+            raise ServiceError("engine.timeout_seconds (the default "
+                               "request deadline) must be set")
         if self.drain_timeout_seconds <= 0:
             raise ServiceError("drain_timeout_seconds must be positive")
         self.default_tenant.validate()
@@ -159,22 +160,15 @@ class ServiceConfig:
         """The limits for ``name`` (the default config if unknown)."""
         return self.tenants.get(name, self.default_tenant)
 
-    def with_overrides(self, **kwargs) -> "ServiceConfig":
-        return replace(self, **kwargs)
-
     def to_dict(self) -> dict:
         """JSON-ready summary for /stats and the BENCH artifact."""
         return {
             "host": self.host,
             "port": self.port,
             "datasets": [list(entry) for entry in self.datasets],
-            "optimizer": self.optimizer,
-            "executor": self.executor,
-            "prefilter": self.prefilter,
+            "engine": self.engine.to_dict(),
             "workers": self.workers,
             "queue_depth": self.queue_depth,
-            "default_timeout_seconds": self.default_timeout_seconds,
-            "default_on_error": self.default_on_error,
             "default_tenant": {
                 "rate": self.default_tenant.rate,
                 "burst": self.default_tenant.burst,

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.baselines import make_executor
 from repro.core.bruteforce import BruteForceMatcher
+from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine
 from repro.errors import ExecutionError, TRexError
 from repro.lang.query import Query, compile_query
@@ -405,9 +406,12 @@ def build_series(tstamps: Sequence[float], values: Sequence[float],
 _PATTERN_ORDER_GAP = "unavailable in pattern order"
 
 
-def _engine_backend(**kwargs: object) -> Callable[[Query, Series], MatchSet]:
+def _engine_backend(overrides: Dict[str, object]) \
+        -> Callable[[Query, Series], MatchSet]:
+    config = EngineConfig(**{"executor": "serial", **overrides})
+
     def run(query: Query, series: Series) -> MatchSet:
-        result = TRexEngine(**kwargs).execute_query(query, [series])
+        result = TRexEngine(config).execute_query(query, [series])
         return tuple(sorted(result.per_series[0].matches))
     return run
 
@@ -420,34 +424,28 @@ def _baseline_backend(label: str,
     return run
 
 
-#: The full backend matrix: tree executor x planners x sharing x executor
-#: backends, plus every baseline.  Values are factories so constructing the
-#: dict stays cheap.
+#: The engine side of the matrix, as :class:`EngineConfig` overrides on
+#: the product defaults (pinned to ``serial`` so the environment cannot
+#: redefine a backend): planners x sharing, the process pool (the settle
+#: loop's accept/replay arm) and the two differential toggles.
+TREX_BACKENDS: Dict[str, Dict[str, object]] = {
+    "trex:cost:auto": {},
+    "trex:cost:on": {"sharing": "on"},
+    "trex:cost:off": {"sharing": "off"},
+    "trex:pr_left": {"optimizer": "pr_left"},
+    "trex:pr_right": {"optimizer": "pr_right"},
+    "trex:sm_left": {"optimizer": "sm_left"},
+    "trex:sm_right": {"optimizer": "sm_right"},
+    "trex:process": {"executor": "process", "workers": 2},
+    "trex:novec": {"vectorize": False},
+    "trex:prefilter": {"prefilter": True},
+}
+
+#: The full backend matrix: the engine configurations above plus every
+#: baseline.
 BACKENDS: Dict[str, Callable[[Query, Series], MatchSet]] = {
-    "trex:cost:auto": _engine_backend(optimizer="cost", sharing="auto",
-                                      executor="serial"),
-    "trex:cost:on": _engine_backend(optimizer="cost", sharing="on",
-                                    executor="serial"),
-    "trex:cost:off": _engine_backend(optimizer="cost", sharing="off",
-                                     executor="serial"),
-    "trex:pr_left": _engine_backend(optimizer="pr_left", sharing="auto",
-                                    executor="serial"),
-    "trex:pr_right": _engine_backend(optimizer="pr_right", sharing="auto",
-                                     executor="serial"),
-    "trex:sm_left": _engine_backend(optimizer="sm_left", sharing="auto",
-                                    executor="serial"),
-    "trex:sm_right": _engine_backend(optimizer="sm_right", sharing="auto",
-                                     executor="serial"),
-    "trex:thread": _engine_backend(optimizer="cost", sharing="auto",
-                                   executor="thread", workers=2),
-    "trex:novec": _engine_backend(optimizer="cost", sharing="auto",
-                                  executor="serial", vectorize=False),
-    "trex:vec": _engine_backend(optimizer="cost", sharing="auto",
-                                executor="serial", vectorize=True),
-    "trex:noprefilter": _engine_backend(optimizer="cost", sharing="auto",
-                                        executor="serial", prefilter=False),
-    "trex:prefilter": _engine_backend(optimizer="cost", sharing="auto",
-                                      executor="serial", prefilter=True),
+    **{label: _engine_backend(overrides)
+       for label, overrides in TREX_BACKENDS.items()},
     "trex-batch": _baseline_backend("trex-batch", True),
     "afa": _baseline_backend("afa", True),
     "afa:off": _baseline_backend("afa", False),
@@ -458,8 +456,8 @@ BACKENDS: Dict[str, Callable[[Query, Series], MatchSet]] = {
 
 #: Backends checked on every case; the rest rotate in by case index.
 CORE_BACKENDS = ("trex:cost:auto", "trex:cost:on", "trex:cost:off",
-                 "trex:pr_left", "trex:thread", "trex:novec", "trex:vec",
-                 "trex:noprefilter", "trex:prefilter",
+                 "trex:pr_left", "trex:process", "trex:novec",
+                 "trex:prefilter",
                  "trex-batch", "afa", "zstream")
 ROTATING_BACKENDS = ("trex:pr_right", "trex:sm_left", "trex:sm_right",
                      "afa:off", "nested-afa", "opencep")

@@ -193,6 +193,33 @@ def test_clock_read_inside_boundary_file_is_clean():
     assert "TRX404" not in codes(report)
 
 
+def test_config_is_the_only_environment_boundary():
+    """``core/config.py`` alone reads ``os.environ`` for an engine
+    option; the only other read under exec/, plan/ and core/ is the
+    ``TREX_FAULTS`` fault-injection plumbing in ``core/parallel.py``."""
+    import re
+    from pathlib import Path
+
+    import repro
+    from repro.analysis import contracts
+
+    root = Path(repro.__file__).parent
+    reads = {}
+    for package in ("exec", "plan", "core"):
+        for path in sorted((root / package).glob("*.py")):
+            lines = [line for line in path.read_text().splitlines()
+                     if "os.environ" in line or "getenv" in line]
+            if lines:
+                reads[f"{package}/{path.name}"] = lines
+    assert set(reads) == {"core/config.py", "core/parallel.py"}
+    assert all("TREX_FAULTS" in line for line in reads["core/parallel.py"])
+    names = set(re.findall(r"TREX_[A-Z]+", "".join(reads["core/config.py"])))
+    assert names == {"TREX_EXECUTOR", "TREX_WORKERS"}
+    assert "core/config.py" in contracts.CLOCK_BOUNDARY_FILES
+    assert ("exec/vector.py", "default_enabled") not in \
+        contracts.CLOCK_BOUNDARY_FUNCTIONS
+
+
 def test_nan_guarded_accumulation_is_clean():
     report = lint("""
     import math

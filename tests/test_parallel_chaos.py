@@ -11,12 +11,14 @@ this suite asserts the guarantees that survive concurrency
 * partial harvests are always a sorted, duplicate-free subset of the
   clean run's matches;
 * a blown global budget produces the exact serial result (settlement +
-  replay), even when the shared ledger interrupted workers mid-flight;
+  replay);
 * the process backend re-arms ``TREX_FAULTS`` inside pool workers and
-  degrades cleanly (thread fallback, ``WorkerCrashed``) when plans or
+  degrades cleanly (inline run, ``WorkerCrashed``) when plans or
   errors cannot cross the process boundary.
 """
 
+import contextlib
+import logging
 import pickle
 
 import numpy as np
@@ -24,8 +26,7 @@ import pytest
 
 from repro.core import parallel
 from repro.core.engine import TRexEngine
-from repro.core.parallel import (LedgerExhausted, SegmentLedger,
-                                 reset_pools)
+from repro.core.parallel import reset_pools
 from repro.errors import WorkerCrashed, error_kind
 from repro.lang.query import compile_query
 from repro.testing import faults
@@ -63,8 +64,21 @@ def signature(result):
             result.interrupted, result.degradation)
 
 
+@contextlib.contextmanager
+def armed_in_workers(point, **kwargs):
+    """``faults.inject`` that reaches forked pool workers: programmatic
+    faults are process-local, so the pool must be created after arming —
+    and must not outlive the fault it inherited."""
+    reset_pools()
+    try:
+        with faults.inject(point, **kwargs):
+            yield
+    finally:
+        reset_pools()
+
+
 class TestOperatorFaultsInWorkers:
-    """Programmatic faults fire inside thread workers (shared registry)."""
+    """Programmatic faults fire inside forked process workers."""
 
     @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
     def test_every_series_fails_under_each_policy(self, family):
@@ -73,13 +87,12 @@ class TestOperatorFaultsInWorkers:
         op_name = plan_operator_names(query, series_list)[0]
         point = f"exec.{op_name}.eval"
         # raise: the first (series-order) worker failure propagates.
-        with faults.inject(point):
+        with armed_in_workers(point):
             with pytest.raises(faults.InjectedFault):
-                TRexEngine(executor="thread", workers=2).execute_query(
+                TRexEngine(executor="process", workers=2).execute_query(
                     query, series_list)
-        # skip: every series hits the fault; all isolated, no matches.
-        with faults.inject(point):
-            result = TRexEngine(executor="thread", workers=2,
+            # skip: every series hits the fault; all isolated, no matches.
+            result = TRexEngine(executor="process", workers=2,
                                 on_error="skip").execute_query(
                 query, series_list)
         assert [e.key for e in result.errors] == \
@@ -99,8 +112,8 @@ class TestOperatorFaultsInWorkers:
         op_name = plan_operator_names(query, series_list)[0]
         # Fires from the 3rd hit on: some series complete clean, the
         # rest stop mid-harvest — which ones is scheduling-dependent.
-        with faults.inject(f"exec.{op_name}.eval", on_hit=3):
-            result = TRexEngine(executor="thread", workers=2,
+        with armed_in_workers(f"exec.{op_name}.eval", on_hit=3):
+            result = TRexEngine(executor="process", workers=2,
                                 on_error="partial").execute_query(
                 query, series_list)
         for entry in result.per_series:
@@ -113,8 +126,8 @@ class TestOperatorFaultsInWorkers:
         query = compile_query(FAMILY_QUERIES["and"])
         series_list = workload()
         op_name = plan_operator_names(query, series_list)[0]
-        with faults.inject(f"exec.{op_name}.eval", action="crash"):
-            result = TRexEngine(executor="thread", workers=2,
+        with armed_in_workers(f"exec.{op_name}.eval", action="crash"):
+            result = TRexEngine(executor="process", workers=2,
                                 on_error="skip").execute_query(
                 query, series_list)
         assert len(result.errors) == len(series_list)
@@ -122,18 +135,16 @@ class TestOperatorFaultsInWorkers:
 
 
 class TestGlobalBudgetUnderConcurrency:
-    @pytest.mark.parametrize("executor", ("thread", "process"))
     @pytest.mark.parametrize("max_segments", (10, 80, 300))
-    def test_blown_budget_equals_serial_exactly(self, executor,
-                                                max_segments):
-        """The ledger may interrupt workers in any order; the merged
+    def test_blown_budget_equals_serial_exactly(self, max_segments):
+        """Workers blow their (full) budgets in any order; the settled
         result must still be the serial engine's, bit for bit."""
         series_list = workload(num_series=6)
         query_text = FAMILY_QUERIES["kleene"]
         serial = TRexEngine(max_segments=max_segments,
                             on_error="partial").execute_query(
             compile_query(query_text), series_list)
-        got = TRexEngine(executor=executor, workers=4,
+        got = TRexEngine(executor="process", workers=4,
                          max_segments=max_segments,
                          on_error="partial").execute_query(
             compile_query(query_text), series_list)
@@ -144,7 +155,7 @@ class TestGlobalBudgetUnderConcurrency:
         query_text = FAMILY_QUERIES["kleene"]
         clean = clean_result(query_text, series_list)
         reference = {e.key: e.matches for e in clean.per_series}
-        result = TRexEngine(executor="thread", workers=4, max_segments=40,
+        result = TRexEngine(executor="process", workers=4, max_segments=40,
                             on_error="partial").execute_query(
             compile_query(query_text), series_list)
         assert result.interrupted
@@ -152,15 +163,6 @@ class TestGlobalBudgetUnderConcurrency:
         for entry in result.per_series:
             assert entry.matches == sorted(set(entry.matches))
             assert set(entry.matches) <= set(reference[entry.key])
-
-    def test_ledger_raises_and_classifies_as_budget(self):
-        ledger = SegmentLedger(3)
-        ledger.charge(2)
-        ledger.charge(1)
-        with pytest.raises(LedgerExhausted) as info:
-            ledger.charge(1)
-        assert error_kind(info.value) == "budget"
-        assert ledger.total == 4
 
 
 class TestProcessBackendChaos:
@@ -180,15 +182,23 @@ class TestProcessBackendChaos:
         # The parent process never armed the fault registry itself.
         assert not faults.ENABLED
 
-    def test_unpicklable_plan_falls_back_to_threads(self, monkeypatch):
+    def test_unpicklable_plan_runs_inline_and_equals_serial(
+            self, monkeypatch, caplog):
         monkeypatch.setattr(parallel, "_plan_is_picklable",
                             lambda plan, query: False)
+        monkeypatch.setattr(
+            parallel, "_get_process_pool",
+            lambda workers: pytest.fail("no pool for an unpicklable plan"))
         query_text = FAMILY_QUERIES["or"]
         series_list = workload()
         serial = clean_result(query_text, series_list)
+        caplog.set_level(logging.WARNING, logger=parallel.__name__)
         got = TRexEngine(executor="process", workers=2).execute_query(
             compile_query(query_text), series_list)
         assert signature(got) == signature(serial)
+        assert [r.getMessage() for r in caplog.records
+                if "not picklable" in r.getMessage()
+                and "inline" in r.getMessage()]
 
     def test_unpicklable_worker_error_becomes_worker_crashed(self):
         class Unpicklable(Exception):

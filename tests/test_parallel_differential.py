@@ -1,6 +1,6 @@
-"""Determinism harness: every parallel backend must equal serial, always.
+"""Determinism harness: the process backend must equal serial, always.
 
-The parallel executors (docs/PARALLELISM.md) promise a *byte-identical*
+The pool executor (docs/PARALLELISM.md) promises a *byte-identical*
 ``QueryResult``: same matches per series, same truncation under global
 budgets, same error records, same interruption point.  This suite pins
 that promise with a template × backend × worker-count sweep, budget
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EngineConfig, default_workers
 from repro.core.engine import TRexEngine
 from repro.core.parallel import reset_pools
 from repro.errors import PlanError
@@ -21,7 +22,7 @@ from repro.lang.query import compile_query
 from tests.conftest import make_series
 from tests.test_differential import QUERY_BANK
 
-EXECUTORS = ("thread", "process")
+EXECUTORS = ("process",)
 WORKER_COUNTS = (1, 2, 4)
 
 #: A representative subset of the differential bank: one query per
@@ -149,7 +150,7 @@ class TestAnalyzeMode:
         assert serial.execution_wall_seconds == pytest.approx(
             serial.execution_seconds, abs=0.05)
         parallel = run(QUERY_BANK["or"], series_list,
-                       executor="thread", workers=4)
+                       executor="process", workers=4)
         assert parallel.execution_wall_seconds > 0
         assert parallel.execution_seconds > 0
         metrics = parallel.metrics_dict()
@@ -166,29 +167,43 @@ class TestConfiguration:
             TRexEngine(workers=0)
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("TREX_EXECUTOR", "thread")
-        assert TRexEngine().executor == "thread"
-        monkeypatch.delenv("TREX_EXECUTOR")
-        assert TRexEngine().executor == "serial"
-        # An explicit argument beats the environment.
         monkeypatch.setenv("TREX_EXECUTOR", "process")
-        assert TRexEngine(executor="serial").executor == "serial"
+        assert TRexEngine().config.executor == "process"
+        # An explicit argument beats the environment.
+        assert TRexEngine(executor="serial").config.executor == "serial"
+        monkeypatch.delenv("TREX_EXECUTOR")
+        assert TRexEngine().config.executor == "serial"
+        # The deleted backend is an error like any unknown name, not a
+        # silent serial run.
+        monkeypatch.setenv("TREX_EXECUTOR", "thread")
+        with pytest.raises(PlanError, match="executor"):
+            TRexEngine()
 
     def test_env_workers(self, monkeypatch):
-        from repro.core.parallel import resolve_workers
         monkeypatch.setenv("TREX_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(5) == 5
-        monkeypatch.setenv("TREX_WORKERS", "junk")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
+        assert EngineConfig().workers == 3
+        assert EngineConfig(workers=5).workers == 5
+        monkeypatch.delenv("TREX_WORKERS")
+        assert EngineConfig().workers == default_workers()
+
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    @pytest.mark.parametrize("value", ("abc", "0", "-2"))
+    def test_bad_env_workers_is_a_plan_error_at_construction(
+            self, monkeypatch, executor, value):
+        # Under every executor, before any planning — not a ValueError
+        # from inside dispatch() and only when a pool is selected.
+        monkeypatch.setenv("TREX_WORKERS", value)
+        with pytest.raises(PlanError, match="TREX_WORKERS"):
+            TRexEngine(executor=executor)
+        with pytest.raises(PlanError, match="TREX_WORKERS"):
+            EngineConfig(executor=executor)
 
     def test_reset_pools_is_safe(self):
         series_list = workload(num_series=2)
-        run(QUERY_BANK["or"], series_list, executor="thread", workers=2)
+        run(QUERY_BANK["or"], series_list, executor="process", workers=2)
         reset_pools()
         got = run(QUERY_BANK["or"], series_list,
-                  executor="thread", workers=2)
+                  executor="process", workers=2)
         assert signature(got) == signature(run(QUERY_BANK["or"],
                                                series_list))
 
@@ -198,12 +213,12 @@ class TestConfiguration:
        name=st.sampled_from(["kleene", "or", "point_kleene"]),
        num_series=st.integers(2, 6),
        max_matches=st.one_of(st.none(), st.integers(1, 40)))
-def test_fuzz_thread_backend_equals_serial(seed, name, num_series,
-                                           max_matches):
+def test_fuzz_process_backend_equals_serial(seed, name, num_series,
+                                            max_matches):
     series_list = workload(num_series=num_series, n=18, seed=seed)
     expected = signature(run(QUERY_BANK[name], series_list,
                              max_matches=max_matches))
     got = signature(run(QUERY_BANK[name], series_list,
-                        executor="thread", workers=3,
+                        executor="process", workers=3,
                         max_matches=max_matches))
     assert got == expected

@@ -101,7 +101,7 @@ class TestPlanKeying:
         data = series_list()
         r1 = TRexEngine(plan_cache=cache).execute_query(
             compile_query(QUERY), data)
-        r2 = TRexEngine(executor="thread", workers=2, plan_cache=cache) \
+        r2 = TRexEngine(executor="process", workers=2, plan_cache=cache) \
             .execute_query(compile_query(QUERY), data)
         assert r1.plan_cache["plan"] == "miss"
         assert r2.plan_cache["plan"] == "hit"

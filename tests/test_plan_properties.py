@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import BruteForceMatcher
 from repro.core.engine import TRexEngine
+from repro.core.config import EngineConfig
 from repro.core.parallel import SeriesTask, run_series
 from repro.lang.query import compile_query
 from repro.optimizer import costmodel as CM
@@ -51,7 +52,7 @@ QUERIES = {
 def run_plan(plan, series, query):
     outcome = run_series(plan, plan, query, SeriesTask(
         index=0, series=series, limit=None, segment_budget=None,
-        deadline=None, analyze=False))
+        deadline=None), EngineConfig())
     if outcome.error is not None:
         raise outcome.error
     return outcome.matches

@@ -13,7 +13,7 @@ from repro.index.summary import clear_cache
 from repro.lang.query import compile_query
 from repro.plan.logical import build_logical_plan
 from repro.plan.prefilter import (COUNTER_KEYS, Atom, PrefilterPlan,
-                                  default_enabled, extract_prefilter)
+                                  extract_prefilter)
 from repro.queries import get_template
 from repro.queries.templates import ALL_TEMPLATES
 
@@ -142,7 +142,7 @@ class TestEngineParity:
         assert off.matches_by_key() == on.matches_by_key()
         assert on.prefilter["series_skipped"] > 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_parity_across_executors(self, executor):
         query = compile_query(SPIKE)
         series = self._dataset()
@@ -217,29 +217,6 @@ class TestEngineParity:
 
 
 class TestToggle:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("TREX_PREFILTER", raising=False)
-        assert default_enabled() is False
-        for value in ("1", "on", "true", "YES"):
-            monkeypatch.setenv("TREX_PREFILTER", value)
-            assert default_enabled() is True
-        monkeypatch.setenv("TREX_PREFILTER", "off")
-        assert default_enabled() is False
-
-    def test_env_enables_engine(self, monkeypatch):
-        monkeypatch.setenv("TREX_PREFILTER", "1")
-        result = TRexEngine().execute_query(
-            compile_query(SPIKE),
-            [make_series(np.zeros(100) + 5.0)])
-        assert result.prefilter is not None
-        assert result.prefilter["series_skipped"] == 1
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("TREX_PREFILTER", "1")
-        result = TRexEngine(prefilter=False).execute_query(
-            compile_query(SPIKE), [make_series(np.zeros(40))])
-        assert result.prefilter is None
-
     def test_ctor_validates_prefilter(self):
         with pytest.raises(PlanError):
             TRexEngine(prefilter="yes")

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine
 from repro.datasets import load
 from repro.errors import AdmissionRejected, ServiceError, exit_code
@@ -216,9 +217,7 @@ class TestServiceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"queue_depth": 0},
-        {"default_timeout_seconds": 0},
-        {"default_on_error": "explode"},
-        {"executor": "quantum"},
+        {"engine": EngineConfig(timeout_seconds=None)},
         {"default_tenant": TenantConfig(rate=-1)},
         {"retry": RetryConfig(max_attempts=0)},
         {"breaker": BreakerConfig(fallback_threshold=0)},
@@ -334,6 +333,9 @@ class TestServiceEndToEnd:
             status, body = client.post("/query", payload)
             assert status == 400
             assert body["error"]["kind"] == "service"
+            # The message names the key the client sent.
+            assert list(payload)[1] in body["error"]["message"]
+            assert "max_matches" not in body["error"]["message"]
 
 
 class TestAdmissionOverHttp:

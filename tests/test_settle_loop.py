@@ -84,7 +84,7 @@ def non_library_records(caplog):
 
 
 class TestLogUnexpected:
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_raise_logs_nothing_and_skip_logs_each_series(
             self, executor, caplog, monkeypatch):
         if executor == "process":

@@ -270,19 +270,6 @@ class TestBudgetContract:
 
 
 class TestToggles:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("TREX_VECTOR", "off")
-        assert not vector.default_enabled()
-        assert ExecContext(make_series([1.0])).vectorize is False
-        monkeypatch.setenv("TREX_VECTOR", "1")
-        assert vector.default_enabled()
-        assert ExecContext(make_series([1.0])).vectorize is True
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("TREX_VECTOR", "off")
-        assert ExecContext(make_series([1.0]),
-                           vectorize=True).vectorize is True
-
     def test_engine_rejects_non_bool(self):
         with pytest.raises(PlanError, match="vectorize"):
             TRexEngine(vectorize="yes")
