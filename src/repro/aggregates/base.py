@@ -17,7 +17,7 @@ model consumes them (Appendix D.2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,15 @@ from repro.errors import AggregateError
 
 #: Valid cost-shape annotations.
 COST_SHAPES = ("C", "L", "Q")
+
+#: An exact batch form: ``kernel(starts, ends) -> float64 values`` over
+#: parallel int64 bound arrays.
+BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: Cap on the cells of any 2-D temporary a batch kernel materializes
+#: (pairwise-sign blocks, context-window rows), so a kernel's transient
+#: memory is a few hundred KiB whatever the batch or segment size.
+BLOCK_CELLS = 1 << 14
 
 
 class AggregateIndex(ABC):
@@ -39,9 +48,11 @@ class AggregateIndex(ABC):
                      ends: np.ndarray) -> np.ndarray:
         """Vector of :meth:`lookup` values over parallel bound arrays.
 
-        The default scalar loop is correct for any index; indexes served
-        by the vector kernels (``repro.exec.vector``) override it with
-        array implementations that reproduce ``lookup`` bit-for-bit.
+        The default scalar loop is correct for any index.  An index
+        whose aggregate declares :attr:`Aggregate.batch_lookup` overrides
+        it with an array implementation that reproduces ``lookup``
+        bit-for-bit; that declaration is what admits the aggregate to
+        the vector leaf (``repro.exec.vector``).
         """
         out = np.empty(len(starts), dtype=np.float64)
         for i in range(len(starts)):
@@ -75,6 +86,15 @@ class Aggregate(ABC):
         cost of building the index as a function of the start–end range
         size, and of one lookup as a function of segment length; ``None``
         when the aggregate does not support indexing.
+    ``batch_lookup``
+        ``True`` when :meth:`build_index` returns an index whose
+        ``lookup_batch`` is an exact array form of ``lookup``.  The
+        direct-evaluation counterpart is declared by overriding
+        :meth:`batch_kernel`.  Both are capability declarations the
+        vector leaf reads instead of a name list, so a registered UDA
+        with exact batch forms joins without touching the executor;
+        ``tests/test_batch_kernel_parity.py`` holds every declaration to
+        bitwise equality with the scalar form.
     """
 
     name: str = ""
@@ -83,11 +103,20 @@ class Aggregate(ABC):
     direct_cost_shape: str = "L"
     index_cost_shape: Optional[str] = None
     lookup_cost_shape: Optional[str] = None
+    batch_lookup: bool = False
+    #: Evaluated through ``evaluate_with_context`` (the full column plus
+    #: the segment bounds) instead of :meth:`evaluate` over slices.
+    needs_series_context: bool = False
 
     @property
     def supports_index(self) -> bool:
         """Whether :meth:`build_index` is implemented."""
         return self.index_cost_shape is not None
+
+    @property
+    def has_batch_kernel(self) -> bool:
+        """Whether the aggregate overrides :meth:`batch_kernel`."""
+        return type(self).batch_kernel is not Aggregate.batch_kernel
 
     @abstractmethod
     def evaluate(self, arrays: Sequence[np.ndarray],
@@ -102,6 +131,20 @@ class Aggregate(ABC):
         """
         raise AggregateError(
             f"aggregate {self.name!r} does not support indexing")
+
+    def batch_kernel(self, columns: Sequence[np.ndarray],
+                     extra: Sequence[float]) -> Optional[BatchKernel]:
+        """Exact batch form of direct evaluation over one series.
+
+        ``columns`` are the *full* float64 series arrays.  The returned
+        kernel maps parallel ``(starts, ends)`` arrays to the values
+        :meth:`evaluate` (or ``evaluate_with_context``) returns for each
+        segment, bit for bit; whatever it precomputes lives as long as
+        the caller keeps it (one leaf over one series).  ``None`` means
+        "no exact batch form for these arguments": the caller evaluates
+        per segment, so argument errors surface from the scalar site.
+        """
+        return None
 
     def validate_call(self, n_columns: int, n_extra: int) -> None:
         """Raise :class:`AggregateError` when the call shape is wrong."""

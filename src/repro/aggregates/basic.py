@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate, AggregateIndex, as_float_arrays
+from repro.aggregates.base import (Aggregate, AggregateIndex, BatchKernel,
+                                   as_float_arrays)
 from repro.aggregates.prefix import PrefixSums, SparseTable
 
 
@@ -150,6 +151,7 @@ class _OneColumnAggregate(Aggregate):
     direct_cost_shape = "L"
     index_cost_shape = "L"
     lookup_cost_shape = "C"
+    batch_lookup = True
 
     def _direct(self, values: np.ndarray) -> float:
         raise NotImplementedError
@@ -204,6 +206,27 @@ class CountAggregate(_OneColumnAggregate):
     def _index(self, values):
         return _CountIndex()
 
+    def batch_kernel(self, columns, extra):
+        return _CountIndex().lookup_batch
+
+
+def _reduceat_kernel(values: np.ndarray, reducer: np.ufunc) -> BatchKernel:
+    """Exact direct min/max: ``reducer.reduceat`` over ``[start, end+1)``
+    pairs visits each slice like ``np.min``/``np.max`` does.  ``sum`` and
+    ``avg`` have no such form (``np.sum`` accumulates pairwise)."""
+    # One trailing pad element keeps ``ends + 1 == n`` a valid reduceat
+    # index; the odd (inter-pair) reductions that could read it are
+    # discarded below.
+    padded = np.concatenate((values, values[-1:]))
+
+    def kernel(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        bounds = np.empty(2 * len(starts), dtype=np.int64)
+        bounds[0::2] = starts
+        bounds[1::2] = ends + 1
+        return reducer.reduceat(padded, bounds)[0::2]
+
+    return kernel
+
 
 class MinAggregate(_OneColumnAggregate):
     """Minimum over the segment."""
@@ -216,6 +239,9 @@ class MinAggregate(_OneColumnAggregate):
     def _index(self, values):
         return _ExtremeIndex(values, "min")
 
+    def batch_kernel(self, columns, extra):
+        return _reduceat_kernel(columns[0], np.minimum)
+
 
 class MaxAggregate(_OneColumnAggregate):
     """Maximum over the segment."""
@@ -227,6 +253,9 @@ class MaxAggregate(_OneColumnAggregate):
 
     def _index(self, values):
         return _ExtremeIndex(values, "max")
+
+    def batch_kernel(self, columns, extra):
+        return _reduceat_kernel(columns[0], np.maximum)
 
 
 class StdDevAggregate(_OneColumnAggregate):

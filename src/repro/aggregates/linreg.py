@@ -41,6 +41,32 @@ def _r2_from_moments(n: int, sx: float, sy: float, sxx: float, syy: float,
     return r2
 
 
+def _r2_from_moments_batch(n: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                           sxx: np.ndarray, syy: np.ndarray,
+                           sxy: np.ndarray, signed: bool) -> np.ndarray:
+    """:func:`_r2_from_moments` over arrays, operation for operation.
+
+    Every branch is an ``np.where`` on the scalar form's own predicate,
+    and the clamps are spelled as comparisons rather than
+    ``np.minimum``/``np.maximum`` so a NaN passes through them the way
+    it passes through Python's ``min``/``max`` (the comparison is false,
+    the first operand is kept).
+    """
+    with np.errstate(all="ignore"):
+        mean_x = sx / n
+        mean_y = sy / n
+        var_x = sxx / n - mean_x * mean_x
+        var_y = syy / n - mean_y * mean_y
+        cov = sxy / n - mean_x * mean_y
+        r2 = (cov * cov) / (var_x * var_y)
+        r2 = np.where(0.0 > r2, 0.0, r2)
+        r2 = np.where(1.0 < r2, 1.0, r2)
+        if signed:
+            r2 = np.where(cov < 0, -r2, r2)
+    flat = (n < 2) | (var_x <= _EPSILON) | (var_y <= _EPSILON)
+    return np.where(flat, 0.0, r2)
+
+
 class _LinRegIndex(AggregateIndex):
     """Prefix sums over x, y, x², y², xy for O(1) R² lookups."""
 
@@ -66,6 +92,18 @@ class _LinRegIndex(AggregateIndex):
             self._signed,
         )
 
+    def lookup_batch(self, starts: np.ndarray,
+                     ends: np.ndarray) -> np.ndarray:
+        return _r2_from_moments_batch(
+            ends - starts + 1,
+            self._px.range_sum_batch(starts, ends),
+            self._py.range_sum_batch(starts, ends),
+            self._pxx.range_sum_batch(starts, ends),
+            self._pyy.range_sum_batch(starts, ends),
+            self._pxy.range_sum_batch(starts, ends),
+            self._signed,
+        )
+
 
 class LinearRegressionR2(Aggregate):
     """R² of the least-squares fit of the second column against the first."""
@@ -76,6 +114,7 @@ class LinearRegressionR2(Aggregate):
     direct_cost_shape = "L"
     index_cost_shape = "L"
     lookup_cost_shape = "C"
+    batch_lookup = True
     _signed = False
 
     def evaluate(self, arrays: Sequence[np.ndarray],

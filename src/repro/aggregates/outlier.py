@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import BLOCK_CELLS, Aggregate
 from repro.errors import AggregateError
 
 
@@ -61,3 +61,40 @@ class ZScoreOutlier(Aggregate):
         if std <= 1e-12:
             return 0.0
         return abs(float(full_column[start]) - float(np.mean(window))) / std
+
+    # trex: no-tick(row blocks of one already-ticked candidate batch)
+    def batch_kernel(self, columns, extra):
+        """Points with a full context window batch as rows of a sliding
+        window view: ``np.std``/``np.mean`` along a contiguous row reduce
+        exactly like the 1-D slice the scalar form takes.  The first
+        ``context`` points (shorter windows) and any ``context < 2`` stay
+        scalar, so the ``AggregateError`` surfaces from the same place.
+        """
+        (column,) = columns
+        context = int(extra[0])
+        if context < 2:
+            return None
+        windows = np.lib.stride_tricks.sliding_window_view(
+            column, min(context, len(column)))
+        step = max(1, BLOCK_CELLS // context)
+
+        def kernel(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+            out = np.empty(len(starts), dtype=np.float64)
+            full = starts >= context
+            for i in np.flatnonzero(~full):
+                out[i] = self.evaluate_with_context(
+                    column, int(starts[i]), int(ends[i]), extra)
+            at = starts[full]
+            scores = np.empty(len(at), dtype=np.float64)
+            for lo in range(0, len(at), step):
+                points = at[lo:lo + step]
+                rows = windows[points - context]
+                with np.errstate(all="ignore"):
+                    std = np.std(rows, axis=1)
+                    score = np.abs(column[points]
+                                   - np.mean(rows, axis=1)) / std
+                scores[lo:lo + step] = np.where(std <= 1e-12, 0.0, score)
+            out[full] = scores
+            return out
+
+        return kernel

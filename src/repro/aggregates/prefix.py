@@ -122,15 +122,3 @@ class SparseTable:
             out[members] = self._reduce(row[starts[members]],
                                         row[ends[members] - span + 1])
         return out
-
-
-def pairwise_sign_matrix_row(values: np.ndarray, j: int) -> float:
-    """Sum of ``sign(values[j] - values[k])`` for ``k < j`` (helper).
-
-    Accumulated as float: ``sign`` of a NaN difference is NaN, and casting
-    that to int raises instead of propagating.
-    """
-    if j == 0:
-        return 0.0
-    diffs = values[j] - values[:j]
-    return float(np.sum(np.sign(diffs)))

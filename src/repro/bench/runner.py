@@ -503,17 +503,23 @@ def run_bench_vector(out_dir: str, length: int = 20000,
                      window_hi: int = 60, repeats: int = 3) -> str:
     """Scalar-vs-vector leaf kernel benchmark; returns the artifact path.
 
-    Three legs, each run with the vector kernels forced off and on:
+    Four legs, each run with the ``vectorize`` hook off (scalar
+    evaluator only) and on (the product default):
 
     * ``fig08_direct`` — a SegGenFilter leaf whose condition batches on
       the direct path (``max``/``min`` folds);
-    * ``fig08_indexed`` — a SegGenIndexing leaf whose ``avg`` condition
-      batches through prefix-sum index lookups;
+    * ``fig08_indexed`` — the paper's Fig. 8 condition: a SegGenIndexing
+      leaf answering ``linear_reg_r2_signed(DN.tstamp, DN.val) <= -0.7``
+      from the five prefix-sum lookups of Example 2;
+    * ``fig08_small_space`` — the same leaf probed start by start on
+      window-narrowed spaces of 1-8 candidates: the regime of Fig. 8b's
+      crossover, where the default side must pick the scalar evaluator
+      and so be no slower than the scalar side;
     * ``fig09_concat`` — an engine-level two-leaf concat (probe-heavy,
       small per-probe search spaces), recorded so probe workloads are
       shown not to regress — no speedup is expected here.
 
-    Every leg asserts the two paths produce identical matches and stats
+    Every leg asserts the two sides produce identical matches and stats
     before timing anything; the artifact records per-run wall times and
     the best-of-``repeats`` speedup per leg.  CI gates on the fig08
     legs (docs/VECTORIZATION.md).
@@ -538,10 +544,10 @@ def run_bench_vector(out_dir: str, length: int = 20000,
                      condition, frozenset())
         return cls(var, var.window_conjunction)
 
-    def run_leaf(op, vectorize):
+    def run_leaf(op, vectorize, spaces=(SearchSpace.full(length),)):
         ctx = ExecContext(series, vectorize=vectorize)
-        segments = [(s.start, s.end)
-                    for s in op.eval(ctx, SearchSpace.full(length), {})]
+        segments = [(s.start, s.end) for space in spaces
+                    for s in op.eval(ctx, space, {})]
         return segments, ctx.stats
 
     def timed_leg(scalar_fn, vector_fn):
@@ -564,10 +570,18 @@ def run_bench_vector(out_dir: str, length: int = 20000,
         lambda: run_leaf(direct_op, False),
         lambda: run_leaf(direct_op, True))
 
-    indexed_op = leaf(SegGenIndexing, "avg(DN.val) > 0.25")
+    indexed_op = leaf(SegGenIndexing,
+                      "linear_reg_r2_signed(DN.tstamp, DN.val) <= -0.7")
     legs["fig08_indexed"] = timed_leg(
         lambda: run_leaf(indexed_op, False),
         lambda: run_leaf(indexed_op, True))
+
+    # One probe per start, its end range cut to 1..8 admissible ends.
+    probes = [SearchSpace(start, start, start + 2, start + 2 + start % 8)
+              for start in range(0, length - 10)]
+    legs["fig08_small_space"] = timed_leg(
+        lambda: run_leaf(indexed_op, False, probes),
+        lambda: run_leaf(indexed_op, True, probes))
 
     concat_table = Table({"tstamp": t, "val": values})
     concat_text = ("ORDER BY tstamp\nPATTERN (A B)\n"

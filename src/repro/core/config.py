@@ -106,8 +106,9 @@ class EngineConfig:
         None, "process-pool size (default: $TREX_WORKERS or a CPU "
         "heuristic)", kind=int, flag="--workers")
     vectorize: bool = _option(
-        True, "numpy batch kernels for supported leaf conditions; results "
-        "are byte-identical either way (docs/VECTORIZATION.md)", kind=bool)
+        True, "differential-test hook: False pins condition leaves to the "
+        "scalar evaluator (the fuzzer's trex:novec side); results are "
+        "byte-identical either way (docs/VECTORIZATION.md)", kind=bool)
     prefilter: bool = _option(
         False, "skip series / narrow search spaces from per-series "
         "summaries before matching; lossless (docs/PREFILTER.md)",

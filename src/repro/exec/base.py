@@ -120,12 +120,14 @@ class ExecContext:
         #: Segments charged against the budget so far (engine-accounted
         #: across series when the budget is global to a query).
         self.segments_charged = 0
-        #: Whether eligible leaves may take the vectorized kernel path
-        #: (repro.exec.vector; ``EngineConfig.vectorize``).
+        #: Differential-test hook (``EngineConfig.vectorize``): ``False``
+        #: pins every condition leaf to its scalar evaluator; otherwise
+        #: eligible leaves choose per call (repro.exec.vector.try_eval).
         self.vectorize = vectorize
-        #: Per-plan-op bind cache for the vector path: op_id -> resolved
-        #: interval constants, or ``None`` for "fell back to scalar on
-        #: this series" (False marks "not probed yet").
+        #: Per-plan-op bind cache for the vector path: op_id -> the
+        #: leaf's per-(operator, series) state (program, columns,
+        #: interval constants, direct kernels), or ``None`` for "fell
+        #: back to scalar on this series"; absent means "not probed yet".
         self.vector_binds: Dict[int, object] = {}
 
     def count(self, op: "PhysicalOperator", name: str, n: int = 1) -> None:

@@ -17,7 +17,13 @@ record per operator on the :class:`~repro.exec.base.ExecContext`, keyed by
   iterator, children included; ``self_seconds`` subtracts the children;
 * ``counters`` — operator-reported events (probe-cache hits/misses,
   condition evaluations, sub-pattern cache hits, ...) attributed through
-  :meth:`~repro.exec.base.ExecContext.count`.
+  :meth:`~repro.exec.base.ExecContext.count`;
+* ``batch_calls``/``scalar_calls``/``fallback`` — condition leaves only:
+  how many eval calls took the batch kernels and how many the scalar
+  loop, and why the condition has no batch form (``""`` when it has
+  one).  They describe the *strategy*, not the work, so they are the one
+  part of a record that may differ between executions that must
+  otherwise agree (docs/ENGINE_CONTRACTS.md).
 
 Overhead guarantee: when analyze mode is off the engine evaluates the
 *uninstrumented* plan — the shim does not exist — and the only residual
@@ -60,6 +66,12 @@ class OpMetrics:
     time_seconds: float = 0.0
     self_seconds: float = 0.0
     counters: Counter = field(default_factory=Counter)
+    #: Condition leaves: eval calls per evaluation strategy, and the
+    #: static reason the condition cannot batch (``None``: not a
+    #: condition leaf, or its scalar loop never ran).
+    batch_calls: int = 0
+    scalar_calls: int = 0
+    fallback: Optional[str] = None
 
     def observe_space(self, sp: SearchSpace) -> None:
         ls, le = sp.start_range_size, sp.end_range_size
@@ -87,6 +99,10 @@ class OpMetrics:
         self.time_seconds += other.time_seconds
         self.self_seconds += other.self_seconds
         self.counters.update(other.counters)
+        self.batch_calls += other.batch_calls
+        self.scalar_calls += other.scalar_calls
+        if self.fallback is None:
+            self.fallback = other.fallback
 
     def annotation(self) -> str:
         """One-line metric summary for the annotated EXPLAIN tree."""
@@ -99,6 +115,11 @@ class OpMetrics:
                  f"le_avg={self.avg_le:.1f}"]
         parts.extend(f"{name}={value}"
                      for name, value in sorted(self.counters.items()))
+        if self.batch_calls or self.scalar_calls:
+            parts.append(f"batch_calls={self.batch_calls}")
+            parts.append(f"scalar_calls={self.scalar_calls}")
+        if self.fallback:
+            parts.append(f"fallback={self.fallback!r}")
         return " ".join(parts)
 
     def to_dict(self) -> dict:
@@ -118,6 +139,10 @@ class OpMetrics:
         }
         if self.counters:
             data["counters"] = dict(self.counters)
+        if self.batch_calls or self.scalar_calls:
+            data["strategy"] = {"batch_calls": self.batch_calls,
+                                "scalar_calls": self.scalar_calls,
+                                "fallback": self.fallback or None}
         return data
 
 

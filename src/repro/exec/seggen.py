@@ -7,11 +7,16 @@
 * :class:`SegGenIndexing` evaluates the condition through shared aggregate
   indexes (``index()``/``lookup()``), amortizing aggregate work across
   overlapping segments.
+
+Both condition leaves enumerate their candidates once
+(:func:`repro.exec.vector.candidate_runs`) and evaluate them with the
+batch kernels or the scalar loop, chosen per call from the candidate
+count (:func:`repro.exec.vector.try_eval`, docs/VECTORIZATION.md).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 from repro.exec import vector
 from repro.exec.base import Env, ExecContext, PhysicalOperator
@@ -75,30 +80,36 @@ class _ConditionLeaf(PhysicalOperator):
     def eval(self, ctx: ExecContext, sp: SearchSpace,
              refs: Env) -> Iterator[Segment]:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        provider = self._provider(ctx)
-        var = self.var
-        is_point = not var.is_segment
-        publish_self = var.name in self.publish
         # Hoisted metric sink: one is-None check per candidate when off.
         metrics = ctx.metrics
         record = metrics.for_op(self) if metrics is not None else None
+        sp = sp.clamp(len(ctx.series))
+        if sp.is_empty():
+            if record is not None:
+                record.scalar_calls += 1
+            return
+        # One enumerator (vector.candidate_runs), two evaluators: the
+        # batch kernels, or the loop below when the condition has no
+        # exact batch form or the call is too small to repay them.
         batched = vector.try_eval(self, ctx, sp, refs, record,
                                   self.vector_provider)
-        if batched is not None:
-            yield from batched
-            return
-        if is_point:
-            # Point variables only ever match start == end: enumerate the
-            # diagonal of the boxed space directly instead of walking the
-            # full start x end box and discarding off-diagonal candidates,
-            # which burned tick/deadline budget quadratically.
-            candidates = self._iter_diagonal(ctx, sp)
-        else:
-            candidates = self.window.iterate_box(ctx.series, sp.s_lo, sp.s_hi,
-                                                 sp.e_lo, sp.e_hi)
+        if batched is None:
+            batched = self.scalar(ctx, vector.pairs(
+                *vector.candidate_runs(self, ctx, sp)), refs, record)
+        yield from batched
+
+    def scalar(self, ctx: ExecContext, candidates: Iterable[Tuple[int, int]],
+               refs: Env, record) -> Iterator[Segment]:
+        """The scalar evaluator: one interpreted condition walk per
+        ``(start, end)`` candidate."""
+        var = self.var
+        provider = self._provider(ctx)
+        publish_self = var.name in self.publish
+        if record is not None:
+            record.scalar_calls += 1
+            if record.fallback is None:
+                record.fallback = vector.compile_condition(
+                    var, self.vector_provider, ctx.registry)[1]
         for start, end in candidates:
             ctx.tick()
             ectx = E.EvalContext(ctx.series, start, end, variable=var.name,
@@ -115,18 +126,6 @@ class _ConditionLeaf(PhysicalOperator):
                     yield Segment(start, end, {var.name: (start, end)})
                 else:
                     yield Segment(start, end)
-
-    def _iter_diagonal(self, ctx: ExecContext,
-                       sp: SearchSpace) -> Iterator[Tuple[int, int]]:
-        """Admissible ``(i, i)`` pairs, ascending (sorted by start and end)."""
-        series = ctx.series
-        accepts = self.window.accepts
-        for i in range(max(sp.s_lo, sp.e_lo), min(sp.s_hi, sp.e_hi) + 1):
-            # Tick per candidate, not per acceptance: a window rejecting
-            # every diagonal point would otherwise spin untimed.
-            ctx.tick()
-            if accepts(series, i, i):
-                yield i, i
 
     def describe(self) -> str:
         return f"{self.name}({self.var.name})"

@@ -12,14 +12,16 @@ plan/series the vector path produces **byte-identical** results to the
 scalar path — matches, ``ctx.stats`` counters, per-op EXPLAIN ANALYZE
 counters, and error behavior.  Three mechanisms make that hold:
 
-* **Capability gating** — :func:`compile_condition` returns ``None`` for
-  any expression whose vector evaluation could diverge (string literals,
-  parameters, non-exact direct aggregates like ``sum``/``avg`` whose
-  ``np.sum`` uses pairwise accumulation, aggregates needing series
-  context, interval units that fail to convert, ...); the leaf then runs
-  the scalar loop.  Per-series ineligibility (missing or non-float64
-  condition columns) is caught by :func:`bind`, so data errors surface
-  from the scalar path exactly as before.
+* **Capability gating** — :func:`compile_condition` declines any
+  expression whose vector evaluation could diverge (parameters,
+  aggregates that do not *declare* an exact batch form — see
+  ``Aggregate.batch_lookup``/``batch_kernel`` — such as direct
+  ``sum``/``avg``, whose ``np.sum`` accumulates pairwise, ...) and
+  reports why; the leaf then runs the scalar loop.  Per-series
+  ineligibility (missing or wrongly typed condition columns, interval
+  units that fail to convert, kernel arguments the aggregate rejects)
+  is caught by :func:`_bind`, so data errors surface from the scalar
+  path exactly as before.
 * **Suspension-exact counters** — consumers such as ``ProbeNot`` pull a
   single segment and abandon the iterator, so counters must be correct
   at *every* generator suspension point, not just batch boundaries.
@@ -34,13 +36,18 @@ counters, and error behavior.  Three mechanisms make that hold:
 Budget contract: the deadline ticks the scalar loop pays per candidate
 are amortized as :meth:`ExecContext.tick_batch` — one deadline check per
 batch of at most :data:`BATCH_SIZE` candidates.
+
+Both evaluators are fed by one enumerator, :func:`candidate_runs`, and
+:func:`try_eval` picks between them per call from the number of
+admissible candidates (:data:`BATCH_CROSSOVER`).
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Tuple)
+import functools
+import itertools
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 import numpy as np
 
@@ -60,18 +67,21 @@ if TYPE_CHECKING:
 #: per-candidate ticks (docs/VECTORIZATION.md).
 BATCH_SIZE = 4096
 
-#: Aggregates whose *indexed* lookups have exact batch equivalents
-#: (``lookup_batch`` reproduces ``lookup`` bit-for-bit; see
-#: aggregates/basic.py).  Other indexable aggregates fall back to the
-#: scalar loop so a raising lookup surfaces mid-stream exactly as the
-#: scalar path would.
-_INDEXED_VECTOR_AGGS = frozenset(
-    {"count", "sum", "avg", "min", "max", "stddev"})
+#: A leaf call with fewer admissible candidates than this runs the
+#: scalar evaluator: the batch path's fixed cost per call (array set-up,
+#: counter bookkeeping) is only repaid from here up.  Fitted from the
+#: sweep committed in docs/VECTORIZATION.md ("Choosing the strategy").
+BATCH_CROSSOVER = 8
 
-#: Aggregates with exact *direct* (unshared) batch evaluation.  ``sum``
-#: and ``avg`` are excluded here: ``np.sum`` over a slice uses pairwise
-#: accumulation, which a batched left-fold cannot reproduce bit-for-bit.
-_DIRECT_VECTOR_AGGS = frozenset({"count", "min", "max"})
+#: Candidate run orders: ``(drive, lo, hi)`` fixes the start and ranges
+#: over ends, fixes the end and ranges over starts, or ranges over
+#: diagonal points ``(i, i)``.
+BY_START, BY_END, DIAGONAL = range(3)
+
+#: The all-candidates live mask every batch starts from (sliced, never
+#: written: masks derived from it are new arrays).
+_LIVE = np.ones(BATCH_SIZE, dtype=bool)
+_LIVE.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -92,28 +102,33 @@ class _Unsupported(Exception):
 class _CompileCtx:
     """Mutable state threaded through one compilation."""
 
-    __slots__ = ("var_name", "provider_kind", "registry", "columns",
-                 "intervals")
+    __slots__ = ("var_name", "is_segment", "provider_kind", "registry",
+                 "columns", "texts", "intervals", "kernels")
 
-    def __init__(self, var_name: str, provider_kind: str, registry) -> None:
+    def __init__(self, var_name: str, is_segment: bool, provider_kind: str,
+                 registry) -> None:
         self.var_name = var_name
+        self.is_segment = is_segment
         self.provider_kind = provider_kind  # 'direct' | 'indexed'
         self.registry = registry
-        self.columns: set = set()
+        self.columns: set = set()    # must bind as float64
+        self.texts: set = set()      # string-equality sites: object dtype
         self.intervals: set = set()
+        self.kernels: dict = {}      # direct call key -> aggregate
 
 
 class _Program:
     """A compiled condition plus everything bind() must validate."""
 
-    __slots__ = ("fn", "kind", "columns", "intervals")
+    __slots__ = ("fn", "kind", "columns", "texts", "intervals", "kernels")
 
-    def __init__(self, fn: Callable, kind: str, columns: Tuple[str, ...],
-                 intervals: Tuple[Tuple[float, str], ...]) -> None:
+    def __init__(self, fn: Callable, kind: str, cx: _CompileCtx) -> None:
         self.fn = fn
         self.kind = kind  # 'bool' | 'num'
-        self.columns = columns
-        self.intervals = intervals
+        self.columns = tuple(sorted(cx.columns))
+        self.texts = tuple(sorted(cx.texts))
+        self.intervals = tuple(sorted(cx.intervals))
+        self.kernels = tuple(cx.kernels.items())
 
 
 def _truthy(kind: str, value: object) -> object:
@@ -153,8 +168,9 @@ def _vdiv(a: object, b: object) -> object:
     zero = b == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = np.true_divide(a, b)
-        signed = np.where(a > 0, np.inf,
-                          np.where(a < 0, -np.inf, np.nan))
+    if not zero.any():
+        return quotient
+    signed = np.where(a > 0, np.inf, np.where(a < 0, -np.inf, np.nan))
     return np.where(zero, signed, quotient)
 
 
@@ -176,8 +192,14 @@ _VECTOR_ARITH = {
 }
 
 
-def _compile(node: E.Expr, cx: _CompileCtx) -> Tuple[str, Callable]:
-    """Compile one expression node; raises :class:`_Unsupported`."""
+def _compile(node: E.Expr, cx: _CompileCtx,
+             text: bool = False) -> Tuple[str, Callable]:
+    """Compile one expression node; raises :class:`_Unsupported`.
+
+    ``text`` marks the two operands of an ``=``/``!=`` against a string
+    literal: the only site where a string, or an object column, is
+    admitted (comparison there is Python ``==`` per element).
+    """
     if isinstance(node, E.Literal):
         value = node.value
         if isinstance(value, bool):
@@ -185,32 +207,28 @@ def _compile(node: E.Expr, cx: _CompileCtx) -> Tuple[str, Callable]:
         if isinstance(value, (int, float)):
             constant = float(value)
             return "num", lambda st, live, v=constant: v
+        if text and isinstance(value, str):
+            # 0-d object array: forces numpy's per-element ``==`` loop
+            # whatever the other operand holds.
+            boxed = np.array(value, dtype=object)
+            return "num", lambda st, live, v=boxed: v
         raise _Unsupported("non-numeric literal")
     if isinstance(node, E.Interval):
         key = (node.value, node.unit)
         cx.intervals.add(key)
         return "num", lambda st, live, k=key: st.intervals[k]
-    if isinstance(node, E.ColumnRef):
-        cx.columns.add(node.column)
-        if node.variable is None or node.variable == cx.var_name:
-            # Standalone reference denotes the segment's last value
-            # (MATCH_RECOGNIZE "final" semantics, lang/expr.py).
-            return "num", (lambda st, live, c=node.column:
-                           st.col(c)[st.ends])
-        return "num", (lambda st, live, v=node.variable, c=node.column:
-                       st.ref_value(v, c, "last"))
-    if isinstance(node, E.PointAccess):
-        ref = node.arg
-        cx.columns.add(ref.column)
-        use_start = node.which == "first"
+    if isinstance(node, (E.ColumnRef, E.PointAccess)):
+        # A standalone reference denotes the segment's last value
+        # (MATCH_RECOGNIZE "final" semantics, lang/expr.py).
+        ref = node.arg if isinstance(node, E.PointAccess) else node
+        first = isinstance(node, E.PointAccess) and node.which == "first"
+        (cx.texts if text else cx.columns).add(ref.column)
         if ref.variable is None or ref.variable == cx.var_name:
-            def point(st: "_EvalState", live: np.ndarray,
-                      c: str = ref.column, first: bool = use_start) -> object:
-                return st.col(c)[st.starts if first else st.ends]
-            return "num", point
-        which = "first" if use_start else "last"
+            return "num", (lambda st, live, c=ref.column, f=first:
+                           st.cols[c][st.starts if f else st.ends])
         return "num", (lambda st, live, v=ref.variable, c=ref.column,
-                       w=which: st.ref_value(v, c, w))
+                       w="first" if first else "last":
+                       st.ref_value(v, c, w))
     if isinstance(node, E.AggCall):
         return "num", _compile_agg(node, cx)
     if isinstance(node, E.Unary):
@@ -264,8 +282,13 @@ def _compile_binary(node: E.Binary, cx: _CompileCtx) -> Tuple[str, Callable]:
         return "bool", or_fn
     if node.op in _VECTOR_CMP:
         op = _VECTOR_CMP[node.op]
-        lk, lf = _compile(node.left, cx)
-        rk, rf = _compile(node.right, cx)
+        sides = (node.left, node.right)
+        text = op in (np.equal, np.not_equal) and any(
+            isinstance(a, E.Literal) and isinstance(a.value, str)
+            and isinstance(b, (E.ColumnRef, E.PointAccess))
+            for a, b in (sides, sides[::-1]))
+        lk, lf = _compile(node.left, cx, text)
+        rk, rf = _compile(node.right, cx, text)
         return "bool", lambda st, live: op(lf(st, live), rf(st, live))
     if node.op in _VECTOR_ARITH:
         op = _VECTOR_ARITH[node.op]
@@ -285,8 +308,8 @@ def _compile_agg(node: E.AggCall, cx: _CompileCtx) -> Callable:
         agg = cx.registry.get(node.name)
     except Exception as exc:
         raise _Unsupported(str(exc)) from None
-    if getattr(agg, "needs_series_context", False):
-        raise _Unsupported("aggregate needs series context")
+    if agg.needs_series_context and cx.is_segment:
+        raise _Unsupported("series-context aggregate on a segment variable")
     for ref in node.columns:
         # Cross-segment calls (external refs) always evaluate directly
         # in the scalar path; keep them there.
@@ -301,56 +324,50 @@ def _compile_agg(node: E.AggCall, cx: _CompileCtx) -> Callable:
             raise _Unsupported("non-literal aggregate extra")
         extras.append(E.as_number(extra_node.value))
     extra = tuple(extras)
-    if cx.provider_kind == "indexed" and agg.supports_index:
-        if agg.name not in _INDEXED_VECTOR_AGGS:
+    # The aggregate itself declares its exact batch forms; an undeclared
+    # one stays on the scalar loop, so a raising lookup surfaces
+    # mid-stream exactly as the scalar path would.
+    key = (agg.name, tuple(ref.column for ref in node.columns), extra)
+    if cx.provider_kind == "indexed" and agg.supports_index \
+            and not agg.needs_series_context:
+        if not agg.batch_lookup:
             raise _Unsupported("no exact batch lookup")
-        return (lambda st, live, a=agg, call=node, e=extra:
-                st.indexed_lookup(a, call, e, live))
+        return (lambda st, live, a=agg, call=node, k=key:
+                st.indexed_lookup(a, call, k, live))
     # Direct evaluation (SegGenFilter, or an indexed leaf whose
     # aggregate does not support indexing).
-    if agg.name not in _DIRECT_VECTOR_AGGS or len(node.columns) != 1:
+    if not agg.has_batch_kernel:
         raise _Unsupported("no exact batch direct evaluation")
-    column = node.columns[0].column
-    return (lambda st, live, name=agg.name, c=column:
-            st.direct_agg(name, c, live))
+    cx.kernels[key] = agg
+    return lambda st, live, k=key: st.direct_agg(k, live)
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(condition: Optional[E.Expr], var_name: str, is_segment: bool,
+              provider_kind: str, registry) -> Tuple[Optional[_Program], str]:
+    cx = _CompileCtx(var_name, is_segment, provider_kind, registry)
+    if condition is None:
+        return _Program(lambda st, live: True, "bool", cx), ""
+    try:
+        kind, fn = _compile(condition, cx)
+    except _Unsupported as exc:
+        return None, str(exc)
+    return _Program(fn, kind, cx), ""
 
 
 def compile_condition(var: "VarDef", provider_kind: str,
-                      registry) -> Optional[_Program]:
-    """Compile a variable's condition; ``None`` when outside the subset."""
-    cx = _CompileCtx(var.name, provider_kind, registry)
-    condition = var.condition
-    if condition is None:
-        kind: str = "bool"
-        fn: Callable = lambda st, live: True  # noqa: E731
-    else:
-        try:
-            kind, fn = _compile(condition, cx)
-        except _Unsupported:
-            return None
-    return _Program(fn, kind, tuple(sorted(cx.columns)),
-                    tuple(sorted(cx.intervals)))
+                      registry) -> Tuple[Optional[_Program], str]:
+    """``(program, "")``, or ``(None, why)`` when outside the subset.
 
-
-# ---------------------------------------------------------------------------
-# Per-operator program cache
-# ---------------------------------------------------------------------------
-
-#: op -> (registry, program-or-None).  Keyed weakly by operator identity
-#: so cached plans keep their compiled programs but nothing is ever
-#: stored *on* an operator (plans must stay picklable for the process
-#: executor).  Instrumented clones get their own (cheap) entries.
-_PROGRAM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _leaf_program(op: "PhysicalOperator", provider_kind: str,
-                  registry) -> Optional[_Program]:
-    entry = _PROGRAM_CACHE.get(op)
-    if entry is not None and entry[0] is registry:
-        return entry[1]
-    program = compile_condition(op.var, provider_kind, registry)
-    _PROGRAM_CACHE[op] = (registry, program)
-    return program
+    Memoised on the (frozen, hashable) condition tree: the planner asks
+    for the same verdict at every DP leaf costing, and every series of a
+    query binds the same program.
+    """
+    key = (var.condition, var.name, var.is_segment, provider_kind, registry)
+    try:
+        return _compiled(*key)
+    except TypeError:  # an unhashable literal (a list-valued parameter)
+        return _compiled.__wrapped__(*key)
 
 
 def compiles_statically(var: "VarDef", provider_kind: str,
@@ -361,47 +378,68 @@ def compiles_statically(var: "VarDef", provider_kind: str,
     never on the runtime toggle or the series — so plan choice is
     identical whether or not vectorization is enabled at run time.
     """
-    return compile_condition(var, provider_kind, registry) is not None
+    return compile_condition(var, provider_kind, registry)[0] is not None
 
 
 # ---------------------------------------------------------------------------
-# Bind: per-series eligibility
+# Bind: per-(operator, series) eligibility and state
 # ---------------------------------------------------------------------------
 
 
-# trex: no-tick(bounded by the program's columns and window specs)
-def _bind(program: _Program, op: "PhysicalOperator",
-          series: "Series") -> Optional[Dict[Tuple[float, str], float]]:
-    """Validate per-series assumptions; interval values or ``None``.
+class _Bound(NamedTuple):
+    """What every eval call of one leaf over one series shares (ROADMAP
+    1b: per ``(op, series)`` work is done once, not per call)."""
 
-    Checks that every condition column (and, for point variables, every
-    time-window column the diagonal enumerator indexes) exists as a
-    float64 array, that window bounds convert to the series' time unit,
-    and resolves interval literals.  Any failure falls back to the
-    scalar loop, which raises (or not) exactly as it always did.
+    program: _Program
+    cols: Dict[str, np.ndarray]                 # resolved condition columns
+    intervals: Dict[Tuple[float, str], float]   # in the series' time unit
+    kernels: Dict[tuple, Callable]              # direct call key -> kernel
+    payload_name: Optional[str]
+
+
+# trex: no-tick(bounded by the program's columns, kernels and window specs)
+def _bind(op: "PhysicalOperator", series: "Series", registry,
+          provider_kind: str) -> Optional[_Bound]:
+    """Compile and validate per-series assumptions; ``None`` to decline.
+
+    Checks that the condition compiles, that every condition column
+    (and, for point variables, every time-window column the diagonal
+    enumerator reads) exists as a float64 array — an object array at
+    string-equality sites — that window bounds and interval literals
+    convert to the series' time unit, and that every direct aggregate
+    call yields a kernel for its arguments.  Any failure falls back to
+    the scalar loop, which raises (or not) exactly as it always did.
     """
     from repro.timeseries.timeunits import to_base_units
-    for name in program.columns:
-        if not series.has_column(name) \
-                or series.column(name).dtype != np.float64:
-            return None
-    for spec in op.window.specs:
-        if spec.kind != "time":
-            continue
-        column = spec.column or series.order_column
-        if not series.has_column(column) \
-                or series.column(column).dtype != np.float64:
-            return None
-    # Window bounds are computed inside the enumerators; a unit that
-    # fails to convert must surface from the scalar path instead.
+    program = compile_condition(op.var, provider_kind, registry)[0]
+    if program is None:
+        return None
+    timed = tuple(spec.column or series.order_column
+                  for spec in op.window.specs if spec.kind == "time")
+    cols: Dict[str, np.ndarray] = {}
+    for names, dtype in ((program.columns + timed, np.float64),
+                         (program.texts, np.object_)):
+        for name in names:
+            if not series.has_column(name) \
+                    or series.column(name).dtype != dtype:
+                return None
+            cols[name] = series.column(name)
+    # Window bounds are computed inside the enumerator; a unit that
+    # fails to convert, or an argument a kernel chokes on, must surface
+    # from the scalar path instead.
     try:
         for spec in op.window.specs:
             spec.bounds_on(series)
         intervals = {key: to_base_units(key[0], key[1], series.time_unit)
                      for key in program.intervals}
+        kernels = {key: agg.batch_kernel([cols[c] for c in key[1]], key[2])
+                   for key, agg in program.kernels}
     except Exception:
         return None
-    return intervals
+    if None in kernels.values():
+        return None
+    return _Bound(program, cols, intervals, kernels,
+                  op.var.name if op.var.name in op.publish else None)
 
 
 # ---------------------------------------------------------------------------
@@ -412,60 +450,49 @@ def _bind(program: _Program, op: "PhysicalOperator",
 class _EvalState:
     """Everything one batch evaluation needs, plus counter deltas."""
 
-    __slots__ = ("ctx", "series", "starts", "ends", "refs", "intervals",
-                 "pads", "deltas", "pending_builds")
+    __slots__ = ("ctx", "starts", "ends", "refs", "cols", "intervals",
+                 "kernels", "deltas", "pending_builds")
 
-    def __init__(self, ctx: "ExecContext", starts: np.ndarray,
-                 ends: np.ndarray, refs: "Env",
-                 intervals: Dict[Tuple[float, str], float],
-                 pads: Dict[str, np.ndarray]) -> None:
+    def __init__(self, ctx: "ExecContext", bound: _Bound, starts: np.ndarray,
+                 ends: np.ndarray, refs: "Env") -> None:
         self.ctx = ctx
-        self.series = ctx.series
         self.starts = starts
         self.ends = ends
         self.refs = refs
-        self.intervals = intervals
-        #: Per-eval-call cache of columns padded for reduceat (shared
-        #: across this leaf eval's batches).
-        self.pads = pads
-        #: counter name -> int64 per-candidate increment array.
+        self.cols = bound.cols
+        self.intervals = bound.intervals
+        self.kernels = bound.kernels
+        #: counter name -> per-candidate increments (bool mask or int64).
         self.deltas: Dict[str, np.ndarray] = {}
         #: index key -> union of live masks across this batch's call
         #: sites, for indexes built *during* this batch (see
         #: :meth:`settle_builds`).
         self.pending_builds: Dict[tuple, np.ndarray] = {}
 
-    def col(self, name: str) -> np.ndarray:
-        return self.series.float_column(name)
-
     def ref_value(self, variable: str, column: str, which: str) -> object:
         """Constant value of an external reference (same for the batch)."""
         start, end = self.refs[variable]
-        return self.series.value_at(column, start if which == "first"
-                                    else end)
+        return self.ctx.series.value_at(column, start if which == "first"
+                                        else end)
 
     def add_delta(self, name: str, counts: np.ndarray) -> None:
-        """Accumulate per-candidate increments (bool mask or int64)."""
+        """Accumulate per-candidate increments (masks are not copied
+        until a second site adds to the same counter)."""
         existing = self.deltas.get(name)
-        if existing is None:
-            self.deltas[name] = counts.astype(np.int64)
-        else:
-            existing += counts
+        self.deltas[name] = counts if existing is None \
+            else existing.astype(np.int64) + counts
 
-    def indexed_lookup(self, agg, call: E.AggCall, extra: Tuple[float, ...],
+    def indexed_lookup(self, agg, call: E.AggCall, key: tuple,
                        live: np.ndarray) -> np.ndarray:
         """Batched index lookups with scalar-exact counter attribution."""
-        size = len(self.starts)
-        if not bool(np.any(live)):
+        if not live.any():
             # No candidate's scalar evaluation reaches this call: no
             # lookups, and — crucially — no index build.
-            return np.zeros(size, dtype=np.float64)
+            return np.zeros(len(self.starts), dtype=np.float64)
         self.add_delta("index_lookups", live)
         ctx = self.ctx
-        key = (agg.name, tuple(c.column for c in call.columns), extra)
         builds_before = ctx.stats["index_builds"]
-        index = ctx.aggregate_index(agg, call, extra)
-        live = np.asarray(live, dtype=bool)
+        index = ctx.aggregate_index(agg, call, key[2])
         if ctx.stats["index_builds"] != builds_before:
             # aggregate_index charged the build eagerly, but the scalar
             # path builds at the first *candidate* that reaches any call
@@ -473,7 +500,7 @@ class _EvalState:
             # in the batch.  Revert the eager charge and defer the
             # per-candidate attribution to settle_builds().
             ctx.stats["index_builds"] = builds_before
-            self.pending_builds[key] = live.copy()
+            self.pending_builds[key] = np.array(live, dtype=bool)
         elif key in self.pending_builds:
             np.logical_or(self.pending_builds[key], live,
                           out=self.pending_builds[key])
@@ -488,145 +515,136 @@ class _EvalState:
             one_hot[int(np.argmax(union))] = 1
             self.add_delta("index_builds", one_hot)
 
-    def direct_agg(self, name: str, column: str,
-                   live: np.ndarray) -> np.ndarray:
-        """Exact direct evaluation for count/min/max over the batch."""
-        size = len(self.starts)
-        if not bool(np.any(live)):
-            return np.zeros(size, dtype=np.float64)
+    def direct_agg(self, key: tuple, live: np.ndarray) -> np.ndarray:
+        """The aggregate's own exact direct batch kernel."""
+        if not live.any():
+            return np.zeros(len(self.starts), dtype=np.float64)
         self.add_delta("direct_agg_evals", live)
-        if name == "count":
-            return (self.ends - self.starts + 1).astype(np.float64)
-        padded = self.pads.get(column)
-        if padded is None:
-            values = self.col(column)
-            # One trailing pad element keeps ``ends + 1 == n`` a valid
-            # reduceat index; the odd (inter-pair) reductions that could
-            # read it are discarded below.
-            padded = np.concatenate((values, values[-1:]))
-            self.pads[column] = padded
-        bounds = np.empty(2 * size, dtype=np.int64)
-        bounds[0::2] = self.starts
-        bounds[1::2] = self.ends + 1
-        reducer = np.minimum if name == "min" else np.maximum
-        return reducer.reduceat(padded, bounds)[0::2]
+        return self.kernels[key](self.starts, self.ends)
 
 
 # ---------------------------------------------------------------------------
-# Candidate enumeration (scalar iteration order, batched)
+# Candidate enumeration: one enumerator, scalar iteration order
 # ---------------------------------------------------------------------------
 
-
-def _runs_to_batches(ctx: "ExecContext", drives: List[int], los: List[int],
-                     his: List[int],
-                     by_end: bool) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Expand buffered (drive, lo..hi) runs into candidate batches."""
-    drive_arr = np.asarray(drives, dtype=np.int64)
-    lo_arr = np.asarray(los, dtype=np.int64)
-    counts = np.asarray(his, dtype=np.int64) - lo_arr + 1
-    total = int(counts.sum())
-    run_offsets = np.cumsum(counts) - counts
-    flat = (np.arange(total, dtype=np.int64)
-            - np.repeat(run_offsets, counts) + np.repeat(lo_arr, counts))
-    fixed = np.repeat(drive_arr, counts)
-    starts, ends = (flat, fixed) if by_end else (fixed, flat)
-    for at in range(0, total, BATCH_SIZE):
-        stop = min(at + BATCH_SIZE, total)
-        ctx.tick_batch(stop - at)
-        yield starts[at:stop], ends[at:stop]
+Run = Tuple[int, int, int]
 
 
-# trex: no-charge(buffers candidate index runs, not retained segments)
-def _box_batches(op: "PhysicalOperator", ctx: "ExecContext",
-                 sp: "SearchSpace") -> Iterator[Tuple[np.ndarray,
-                                                      np.ndarray]]:
-    """Admissible boxed candidates in ``iterate_box``'s exact order.
+def candidate_runs(op: "PhysicalOperator", ctx: "ExecContext",
+                   sp: "SearchSpace") -> Tuple[int, Iterator[Run]]:
+    """``(order, runs)``: the admissible candidates of one leaf call.
 
-    Mirrors ``WindowConjunction.iterate``/``iterate_by_end`` including
-    the driving-direction rule, so scalar and vector paths enumerate
-    identical candidate sequences.
+    The one enumerator behind both evaluators.  A run ``(drive, lo,
+    hi)`` stands for ``hi - lo + 1`` consecutive candidates in the order
+    the scalar nested loop visits them (``WindowConjunction.iterate`` /
+    ``iterate_by_end`` with their driving-direction rule; the diagonal
+    for point variables).  ``sp`` must be clamped and non-empty.
     """
-    series = ctx.series
-    window = op.window
-    n = len(series)
+    if not op.var.is_segment:
+        return DIAGONAL, _diagonal_runs(op, ctx, sp)
     by_end = (sp.e_hi - sp.e_lo) < (sp.s_hi - sp.s_lo)
+    return (BY_END if by_end else BY_START), _box_runs(
+        op.window, ctx.series, sp, by_end)
+
+
+# trex: no-tick(candidates tick in the evaluators; empty drives are free)
+def _box_runs(window, series: "Series", sp: "SearchSpace",
+              by_end: bool) -> Iterator[Run]:
     if by_end:
-        drive_lo, drive_hi = max(sp.e_lo, 0), min(sp.e_hi, n - 1)
+        for end in range(sp.e_lo, sp.e_hi + 1):
+            lo, hi = window.start_range(series, end)
+            lo, hi = max(lo, sp.s_lo), min(hi, sp.s_hi, end)
+            if lo <= hi:
+                yield end, lo, hi
     else:
-        drive_lo, drive_hi = max(sp.s_lo, 0), min(sp.s_hi, n - 1)
-    drives: List[int] = []
-    los: List[int] = []
-    his: List[int] = []
-    pending = 0
-    # Buffered candidates are ticked batch-wise in _runs_to_batches;
-    # empty drive positions are tick-free in the scalar iterators too.
-    # trex: no-tick(buffered candidates tick batched in _runs_to_batches)
-    for drive in range(drive_lo, drive_hi + 1):
-        if by_end:
-            lo, hi = window.start_range(series, drive)
-            lo = max(lo, sp.s_lo, 0)
-            hi = min(hi, sp.s_hi, drive)
-        else:
-            lo, hi = window.end_range(series, drive)
-            lo = max(lo, sp.e_lo, drive)
-            hi = min(hi, sp.e_hi, n - 1)
-        if hi < lo:
-            continue
-        drives.append(drive)
-        los.append(lo)
-        his.append(hi)
-        pending += hi - lo + 1
-        if pending >= BATCH_SIZE:
-            yield from _runs_to_batches(ctx, drives, los, his, by_end)
-            drives, los, his = [], [], []
-            pending = 0
-    if pending:
-        yield from _runs_to_batches(ctx, drives, los, his, by_end)
+        for start in range(sp.s_lo, sp.s_hi + 1):
+            lo, hi = window.end_range(series, start)
+            lo, hi = max(lo, sp.e_lo, start), min(hi, sp.e_hi)
+            if lo <= hi:
+                yield start, lo, hi
 
 
-# trex: no-charge(window-spec bound tuples, not retained segments)
-def _diag_batches(op: "PhysicalOperator", ctx: "ExecContext",
-                  sp: "SearchSpace") -> Iterator[Tuple[np.ndarray,
-                                                       np.ndarray]]:
-    """Admissible ``(i, i)`` diagonal candidates for point variables.
+def _diagonal_runs(op: "PhysicalOperator", ctx: "ExecContext",
+                   sp: "SearchSpace") -> Iterator[Run]:
+    """Maximal runs of admissible ``(i, i)`` points.
 
-    Scalar parity notes: the scalar loop ticks per *candidate* (window
-    rejections included), so ``tick_batch`` covers the full chunk; a
-    NaN timestamp gives a NaN duration whose comparisons are all false,
-    i.e. the point is accepted — the masks reproduce that by rejecting
-    on ``d < lo`` / ``d > hi`` rather than accepting on the complement.
+    A diagonal candidate's duration is 0 under every spec, or NaN where
+    a time column is not finite — and a NaN duration fails both
+    rejection tests of ``WindowConjunction.accepts``, so such a point is
+    accepted whatever the bounds.  Every point of the range is ticked,
+    rejected ones included, as the scalar diagonal walk always did.
     """
     series = ctx.series
-    lo = max(sp.s_lo, sp.e_lo)
-    hi = min(sp.s_hi, sp.e_hi)
+    lo, hi = max(sp.s_lo, sp.e_lo), min(sp.s_hi, sp.e_hi)
     if hi < lo:
         return
-    specs = []
+    ctx.tick_batch(hi - lo + 1)
+    keep = None
     # trex: no-tick(bounded by the window's spec count)
     for spec in op.window.specs:
         b_lo, b_hi = spec.bounds_on(series)
-        column = None if spec.kind == "point" else series.float_column(
-            spec.column or series.order_column)
-        specs.append((b_lo, b_hi, column))
-    for base in range(lo, hi + 1, BATCH_SIZE):
-        idx = np.arange(base, min(base + BATCH_SIZE - 1, hi) + 1,
-                        dtype=np.int64)
-        ctx.tick_batch(len(idx))
-        mask = np.ones(len(idx), dtype=bool)
-        # trex: no-tick(bounded by the window's spec count)
-        for b_lo, b_hi, column in specs:
-            if column is None:
-                # Point-duration of a diagonal candidate is always 0.
-                if 0 < b_lo or (b_hi is not None and 0 > b_hi):
-                    mask[:] = False
-            else:
-                duration = column[idx] - column[idx]
-                mask &= np.logical_not(duration < b_lo)
-                if b_hi is not None:
-                    mask &= np.logical_not(duration > b_hi)
-        keep = idx[mask]
-        if len(keep):
-            yield keep, keep
+        if not (0 < b_lo or (b_hi is not None and 0 > b_hi)):
+            continue
+        if spec.kind == "point":
+            return
+        column = series.float_column(spec.column or series.order_column)
+        odd = ~np.isfinite(column[lo:hi + 1])
+        keep = odd if keep is None else keep & odd
+    if keep is None:
+        yield lo, lo, hi
+        return
+    edges = np.flatnonzero(np.diff(np.concatenate(
+        ([False], keep, [False])).astype(np.int8)))
+    # trex: no-tick(one step per gap between already-ticked points)
+    for first, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        yield lo + first, lo + first, lo + stop - 1
+
+
+# trex: no-tick(one pair per candidate; the scalar evaluator ticks each)
+def pairs(order: int, runs: Iterable[Run]) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` per candidate, for the scalar evaluator."""
+    for drive, lo, hi in runs:
+        if order == BY_START:
+            for end in range(lo, hi + 1):
+                yield drive, end
+        elif order == BY_END:
+            for start in range(lo, hi + 1):
+                yield start, drive
+        else:
+            for point in range(lo, hi + 1):
+                yield point, point
+
+
+# trex: no-charge(buffers candidate index runs, not retained segments)
+def _batches(ctx: "ExecContext", order: int, runs: Iterable[Run]
+             ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Expand runs into ``(starts, ends)`` batches, ticked per batch."""
+    runs = iter(runs)
+    while True:
+        block: List[Run] = []
+        pending = 0
+        # trex: no-tick(buffered candidates tick per batch, below)
+        for run in runs:
+            block.append(run)
+            pending += run[2] - run[1] + 1
+            if pending >= BATCH_SIZE:
+                break
+        if not block:
+            return
+        if len(block) == 1:  # a probe: no per-run bookkeeping arrays
+            flat = np.arange(block[0][1], block[0][2] + 1, dtype=np.int64)
+            fixed = np.empty(pending, dtype=np.int64)
+            fixed.fill(block[0][0])
+        else:
+            drive, lo, hi = np.array(block, dtype=np.int64).T
+            counts = hi - lo + 1
+            flat = (np.arange(pending, dtype=np.int64)
+                    + np.repeat(lo - (np.cumsum(counts) - counts), counts))
+            fixed = np.repeat(drive, counts)
+        starts, ends = ((fixed, flat), (flat, fixed), (flat, flat))[order]
+        for at in range(0, pending, BATCH_SIZE):
+            ctx.tick_batch(min(BATCH_SIZE, pending - at))
+            yield starts[at:at + BATCH_SIZE], ends[at:at + BATCH_SIZE]
 
 
 # ---------------------------------------------------------------------------
@@ -634,72 +652,51 @@ def _diag_batches(op: "PhysicalOperator", ctx: "ExecContext",
 # ---------------------------------------------------------------------------
 
 
-# trex: no-tick(folds a handful of per-counter cumulative arrays)
-def _flush_counts(stats, record, cums: Dict[str, np.ndarray],
-                  start: int, stop: int) -> None:
-    """Fold counter deltas for candidates ``[start, stop)`` into sinks."""
-    if stop == start:
-        return
-    for name, cum in cums.items():
-        increment = int(cum[stop] - cum[start])
-        if increment:
-            stats[name] += increment
-            if record is not None and name == "condition_evals":
-                record.counters[name] += increment
-
-
-def _eval_batch(op: "PhysicalOperator", ctx: "ExecContext",
-                record, starts: np.ndarray, ends: np.ndarray, refs: "Env",
-                program: _Program,
-                intervals: Dict[Tuple[float, str], float],
-                pads: Dict[str, np.ndarray],
-                payload_name: Optional[str]) -> Iterator[Segment]:
+def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
+                starts: np.ndarray, ends: np.ndarray,
+                refs: "Env") -> Iterator[Segment]:
     size = len(starts)
-    state = _EvalState(ctx, starts, ends, refs, intervals, pads)
-    live = np.ones(size, dtype=bool)
-    matched = np.broadcast_to(
-        np.asarray(_truthy(program.kind, program.fn(state, live)),
-                   dtype=bool), (size,))
+    state = _EvalState(ctx, bound, starts, ends, refs)
+    program = bound.program
+    matched = _truthy(program.kind, program.fn(state, _LIVE[:size]))
+    if not isinstance(matched, np.ndarray) or matched.shape != (size,):
+        matched = np.broadcast_to(np.asarray(matched, dtype=bool), (size,))
     state.settle_builds()
-    # Cumulative per-counter totals: cums[name][j] = increments charged
-    # by candidates 0..j-1, so a flush over [a, b) is one subtraction.
-    cums = {"condition_evals": np.arange(size + 1, dtype=np.int64)}
-    # trex: no-tick(a few counter delta arrays per batch)
-    for name, delta in state.deltas.items():
-        cum = np.empty(size + 1, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(delta, out=cum[1:])
-        cums[name] = cum
     stats = ctx.stats
-    hits = np.flatnonzero(matched)
-    if len(hits) == 0:
-        _flush_counts(stats, record, cums, 0, size)
-        return
-    # Pre-slice everything the per-yield loop touches into plain Python
-    # lists: numpy scalar boxing per emission dominates otherwise.  The
-    # flush for hit k covers candidates (hits[k-1], hits[k]], so each
-    # suspension point still sees exact counters.
-    bounds = np.empty(len(hits) + 1, dtype=np.int64)
-    bounds[0] = 0
-    np.add(hits, 1, out=bounds[1:])
-    # trex: no-tick(a few counter delta arrays per batch)
-    increments = [(name, np.diff(cum[bounds]).tolist())
-                  for name, cum in cums.items()]
+    rec_counters = record.counters if record is not None else None
+    hits = matched.nonzero()[0]
+    # Counters must be exact at every suspension point: the flush for
+    # hit k covers candidates (hits[k-1], hits[k]], the tail follows the
+    # last hit.  cum[j] = increments charged by candidates 0..j-1, so a
+    # flush over [a, b) is one subtraction; condition_evals charges one
+    # per candidate, so its cum is the bounds themselves.  Everything
+    # the per-yield loop touches is pre-sliced into plain lists: numpy
+    # scalar boxing per emission dominates otherwise.
+    names = ["condition_evals", *state.deltas]
+    if len(hits):
+        bounds = np.concatenate(([0], hits + 1, [size]))
+        cums = [bounds] + [np.concatenate(([0], np.cumsum(delta)))[bounds]
+                           for delta in state.deltas.values()]
+        steps = [(cum[1:] - cum[:-1]).tolist() for cum in cums]
+    else:  # the usual probe outcome: one flush, no per-candidate arrays
+        steps = [[size]] + [[int(delta.sum())]
+                            for delta in state.deltas.values()]
+    flushes = list(zip(names, steps))
     hit_starts = starts[hits].tolist()
     hit_ends = ends[hits].tolist()
-    rec_counters = record.counters if record is not None else None
+    payload_name = bound.payload_name
+    last = len(hit_starts)
     # trex: no-tick(bounded by one already-ticked batch)
-    for k in range(len(hits)):
-        # Counters must be exact at this suspension point: charge every
-        # candidate up to and including this one, then emit.
+    for k in range(last + 1):
         # trex: no-tick(a few counter names per emission)
-        for name, inc in increments:
-            value = inc[k]
+        for name, step in flushes:
+            value = step[k]
             if value:
                 stats[name] += value
-                if rec_counters is not None \
-                        and name == "condition_evals":
+                if rec_counters is not None and name == "condition_evals":
                     rec_counters[name] += value
+        if k == last:
+            return
         stats["segments_emitted"] += 1
         if rec_counters is not None:
             rec_counters["segments_emitted"] += 1
@@ -709,45 +706,45 @@ def _eval_batch(op: "PhysicalOperator", ctx: "ExecContext",
             yield Segment(start, end, {payload_name: (start, end)})
         else:
             yield Segment(start, end)
-    _flush_counts(stats, record, cums, int(bounds[-1]), size)
 
 
-def _run(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
-         refs: "Env", record, program: _Program,
-         intervals: Dict[Tuple[float, str], float]) -> Iterator[Segment]:
-    var = op.var
-    payload_name = var.name if var.name in op.publish else None
-    pads: Dict[str, np.ndarray] = {}
-    if var.is_segment:
-        batches = _box_batches(op, ctx, sp)
-    else:
-        batches = _diag_batches(op, ctx, sp)
-    # trex: no-tick(the enumerators tick per candidate batch)
-    for starts, ends in batches:
-        yield from _eval_batch(op, ctx, record, starts, ends, refs,
-                               program, intervals, pads, payload_name)
-
-
+# trex: no-charge(holds fewer than BATCH_CROSSOVER index runs, no segments)
 def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
              refs: "Env", record,
              provider_kind: str) -> Optional[Iterator[Segment]]:
-    """The vector path for one leaf eval, or ``None`` to run scalar.
+    """One leaf eval on the vector path, or ``None`` to run scalar.
 
-    Eligibility: the context's vectorize toggle is on, fault injection
-    is off (fault points live in the scalar call graph), the condition
+    Eligibility: the context's vectorize hook is on, fault injection is
+    off (fault points live in the scalar call graph), the condition
     compiles, and the series binds.  ``sp`` must already be clamped and
     non-empty (the caller does both).
+
+    An eligible call still takes the leaf's scalar evaluator when fewer
+    than :data:`BATCH_CROSSOVER` candidates are admissible — a function
+    of ``sp`` and the window alone, so every executor decides alike.
     """
     if not ctx.vectorize or _faults.ENABLED:
         return None
-    program = _leaf_program(op, provider_kind, ctx.registry)
-    if program is None:
-        return None
-    binds = ctx.vector_binds
-    bound = binds.get(op.op_id, False)
+    bound = ctx.vector_binds.get(op.op_id, False)
     if bound is False:
-        bound = _bind(program, op, ctx.series)
-        binds[op.op_id] = bound
+        bound = ctx.vector_binds[op.op_id] = _bind(
+            op, ctx.series, ctx.registry, provider_kind)
     if bound is None:
         return None
-    return _run(op, ctx, sp, refs, record, program, bound)
+    order, runs = candidate_runs(op, ctx, sp)
+    head: List[Run] = []
+    pending = 0
+    # trex: no-tick(stops at the crossover; candidates tick when evaluated)
+    for run in runs:
+        head.append(run)
+        pending += run[2] - run[1] + 1
+        if pending >= BATCH_CROSSOVER:
+            break
+    else:
+        return op.scalar(ctx, pairs(order, head), refs, record)
+    if record is not None:
+        record.batch_calls += 1
+    return itertools.chain.from_iterable(
+        _eval_batch(ctx, record, bound, starts, ends, refs)
+        for starts, ends in _batches(ctx, order,
+                                     itertools.chain(head, runs)))

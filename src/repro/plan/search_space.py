@@ -82,6 +82,10 @@ class SearchSpace:
         """
         if n <= 0:
             return _EMPTY
+        if self.s_lo >= 0 and self.e_lo >= 0 and self.s_hi < n \
+                and self.e_hi < n:
+            # Already inside (every probe space is): nothing to build.
+            return _EMPTY if self.is_empty() else self
         clamped = SearchSpace(max(self.s_lo, 0), min(self.s_hi, n - 1),
                               max(self.e_lo, 0), min(self.e_hi, n - 1))
         if clamped.is_empty():

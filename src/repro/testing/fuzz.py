@@ -534,8 +534,16 @@ def oracle_check(query: Query, query_text: str, tstamps: Sequence[float],
 # Scalar/vector deep-equality oracle
 # ---------------------------------------------------------------------------
 
+#: ``OpMetrics.to_dict`` keys outside the byte-identical contract: the
+#: plan-construction serial, the two wall times, and the leaf's
+#: evaluation *strategy* (batch vs scalar calls), which is exactly what
+#: the toggles under test change.  Nothing else is excluded
+#: (docs/ENGINE_CONTRACTS.md; tests/test_fuzz.py pins the set).
+SNAPSHOT_EXCLUDED = ("op_id", "time_seconds", "self_seconds", "strategy")
+
+
 def _metrics_snapshot(metrics: object) -> Optional[List[Dict[str, object]]]:
-    """Per-operator metrics with time and op-id fields stripped.
+    """Per-operator metrics minus :data:`SNAPSHOT_EXCLUDED`.
 
     Each engine construction compiles its own plan, so raw ``op_id``
     values differ between the scalar and vector runs; ``to_list`` orders
@@ -546,11 +554,8 @@ def _metrics_snapshot(metrics: object) -> Optional[List[Dict[str, object]]]:
         return None
     out: List[Dict[str, object]] = []
     for rec in metrics.to_list():  # type: ignore[attr-defined]
-        rec = dict(rec)
-        rec.pop("op_id", None)
-        rec.pop("time_seconds", None)
-        rec.pop("self_seconds", None)
-        out.append(rec)
+        out.append({key: value for key, value in rec.items()
+                    if key not in SNAPSHOT_EXCLUDED})
     return out
 
 

@@ -37,7 +37,8 @@ def window(lo, hi):
 
 
 def test_seggen_diagonal_ticks_on_rejected_points():
-    """``_iter_diagonal`` must tick per candidate, not per acceptance.
+    """The diagonal enumerator (``vector._diagonal_runs``) must tick per
+    candidate, not per acceptance.
 
     A point variable under a window that rejects every zero-duration
     segment yields nothing, so without the in-loop tick the scan would

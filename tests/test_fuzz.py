@@ -228,6 +228,43 @@ def test_corpus_replay_catches_reintroduced_bug(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Deep-equality snapshot
+# ---------------------------------------------------------------------------
+
+def test_snapshot_excludes_only_strategy_and_clocks():
+    """The byte-identical contract leaves out exactly the leaf's
+    evaluation strategy, the two wall times and the construction serial
+    (docs/ENGINE_CONTRACTS.md) — and the strategy really is the one
+    thing forcing the scalar evaluator changes."""
+    from repro.core.engine import TRexEngine
+    from repro.exec.metrics import OpMetrics
+
+    assert fuzz.SNAPSHOT_EXCLUDED == ("op_id", "time_seconds",
+                                      "self_seconds", "strategy")
+    record = OpMetrics(7, "SegGenFilter(A)", batch_calls=2, scalar_calls=1)
+    record.counters["condition_evals"] = 5
+    kept = set(record.to_dict()) - set(fuzz.SNAPSHOT_EXCLUDED)
+    assert kept == {"operator", "eval_calls", "segments_in",
+                    "segments_out", "search_space", "counters"}
+
+    query = compile_query(
+        "ORDER BY tstamp\nPATTERN A\n"
+        "DEFINE SEGMENT A AS max(A.val) - min(A.val) >= 2 AND window(2, 9)")
+    series = fuzz.build_series(list(range(30)),
+                               [float(i % 7) for i in range(30)])
+    snaps, strategies = [], []
+    for vectorize in (False, True):
+        result = TRexEngine(analyze=True, vectorize=vectorize) \
+            .execute_query(query, [series])
+        snaps.append(fuzz._result_snapshot(result))
+        strategies.append([rec.get("strategy")
+                           for rec in result.op_metrics.to_list()])
+    assert snaps[0] == snaps[1]
+    assert strategies[0] != strategies[1]
+    assert strategies[1][0]["batch_calls"] == 1
+
+
+# ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
 
