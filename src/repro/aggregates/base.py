@@ -39,6 +39,10 @@ BLOCK_CELLS = 1 << 14
 class AggregateIndex(ABC):
     """Query-time index over a whole series for one aggregate call."""
 
+    #: ``True`` when lookups materialize more of the index after it is
+    #: built: the series it is resident on then re-reads its size.
+    grows = False
+
     @abstractmethod
     def lookup(self, start: int, end: int) -> float:
         """Aggregate value over the inclusive segment ``[start, end]``."""

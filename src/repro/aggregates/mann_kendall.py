@@ -102,6 +102,7 @@ class _MannKendallIndex(AggregateIndex):
     """
 
     __slots__ = ("_values", "_rows")
+    grows = True
 
     def __init__(self, values: np.ndarray):
         self._values = values

@@ -32,6 +32,14 @@ def timed(fn: Callable[[], object]) -> Tuple[float, object]:
     return time.perf_counter() - t0, result
 
 
+def cold(series_list: Sequence[Series]) -> Sequence[Series]:
+    """The paper charges every competitor its own ``index()`` builds
+    (§4.2): forget what earlier runs left resident on the series."""
+    for series in series_list:
+        series.drop_derived()
+    return series_list
+
+
 def series_for(template: QueryTemplate, table: Table) -> List[Series]:
     query = template.compile(template.param_sets()[0])
     return table.partition(query.partition_by, query.order_by)
@@ -44,7 +52,7 @@ def run_query_all_series(query: Query, series_list: Sequence[Series],
     executor = make_executor(executor_label, query, sharing=sharing)
     t0 = time.perf_counter()
     total = 0
-    for series in series_list:
+    for series in cold(series_list):
         total += len(executor.match_series(series))
     return time.perf_counter() - t0, total
 
@@ -102,7 +110,7 @@ def run_optimizer_comparison(template: QueryTemplate, table: Table,
                                 timeout_seconds=timeout_seconds)
             try:
                 seconds, result = timed(
-                    lambda e=engine: e.execute_query(query, series_list))
+                    lambda e=engine: e.execute_query(query, cold(series_list)))
             except QueryTimeout:
                 times[strategy.label] = math.inf
                 timed_out.add(strategy.label)
@@ -113,7 +121,7 @@ def run_optimizer_comparison(template: QueryTemplate, table: Table,
                 timed_out.add(strategy.label)
         engine = TRexEngine(optimizer="cost", sharing="auto")
         seconds, result = timed(
-            lambda e=engine: e.execute_query(query, series_list))
+            lambda e=engine: e.execute_query(query, cold(series_list)))
         times["optimizer"] = seconds
         matches["optimizer"] = result.total_matches
         results.append(OptimizerComparison(dict(params), times, matches))
@@ -182,7 +190,7 @@ def run_ndcg(template: QueryTemplate, table: Table,
                                 timeout_seconds=timeout_seconds)
             try:
                 seconds, _ = timed(
-                    lambda e=engine: e.execute_query(query, series_list))
+                    lambda e=engine: e.execute_query(query, cold(series_list)))
             except QueryTimeout:
                 # Rank a timed-out plan at the budget boundary.
                 seconds = timeout_seconds
@@ -226,7 +234,7 @@ def run_executor_comparison(template: QueryTemplate, table: Table,
             t0 = time.perf_counter()
             total = 0
             try:
-                for series in series_list:
+                for series in cold(series_list):
                     total += len(executor.match_series(series))
             except QueryTimeout:
                 dropped.add(label)

@@ -425,6 +425,7 @@ def cmd_fuzz(args) -> int:
           f"{report.metamorphic_checks} metamorphic checks, "
           f"{report.vector_checks} vector checks, "
           f"{report.prefilter_checks} prefilter checks, "
+          f"{report.warm_checks} warm checks, "
           f"{report.queries_rejected} rejected, "
           f"{len(report.discrepancies)} discrepancies ({elapsed:.1f}s)")
     print(f"wrote {out_path}")

@@ -110,9 +110,10 @@ class EngineConfig:
         "scalar evaluator (the fuzzer's trex:novec side); results are "
         "byte-identical either way (docs/VECTORIZATION.md)", kind=bool)
     prefilter: bool = _option(
-        False, "skip series / narrow search spaces from per-series "
-        "summaries before matching; lossless (docs/PREFILTER.md)",
-        kind=bool, flag="--prefilter", plan_key=True)
+        True, "differential-test hook: False pins every series to the "
+        "full scan (the fuzzer's trex:noprefilter side); matches, errors "
+        "and plans are byte-identical either way (docs/PREFILTER.md)",
+        kind=bool)
 
     def __post_init__(self) -> None:
         if self.executor is None:

@@ -173,17 +173,17 @@ class TRexEngine:
                          deadline: Optional[float],
                          planning_deadline: Optional[float]) \
             -> Tuple[PhysicalOperator, Optional[str],
-                     Optional[PrefilterPlan]]:
+                     PrefilterPlan]:
         """build_plan() through the plan cache; returns (plan, status,
         prefilter plan).
 
         ``status`` is ``'hit'``/``'miss'`` when a cache is configured,
         None otherwise.  Cached entries carry the planner-fallback
         reason recorded at build time, so a cached fallback plan is
-        still reported as one on every reuse — and, for prefilter-on
-        engines, the extracted :class:`PrefilterPlan` (extraction is
-        deterministic per bound query, so caching it is free and keeps
-        repeat queries from re-walking the condition ASTs).
+        still reported as one on every reuse — and the extracted
+        :class:`PrefilterPlan` (extraction is deterministic per bound
+        query, so caching it is free and keeps repeat queries from
+        re-walking the condition ASTs).
         """
         cache = self.plan_cache
         if cache is not None:
@@ -195,8 +195,7 @@ class TRexEngine:
         plan = self.build_plan(query, logical, non_empty,
                                deadline=deadline,
                                planning_deadline=planning_deadline)
-        pfplan = extract_prefilter(query, logical) \
-            if self.config.prefilter else None
+        pfplan = extract_prefilter(query, logical)
         if cache is None:
             return plan, None, pfplan
         cache.put_plan(key, (plan, self.last_planner_fallback, pfplan))
@@ -256,7 +255,7 @@ class TRexEngine:
         try:
             total_metrics = self._settle(
                 result, plan, exec_plan, query, series_list, deadline,
-                pfplan, pf_totals)
+                pfplan if config.prefilter else None, pf_totals)
         except KeyboardInterrupt:
             # SIGINT mid-query: under 'raise' the interrupt propagates
             # untouched; under 'skip'/'partial' the engine settles — the
@@ -289,7 +288,9 @@ class TRexEngine:
                     f"narrowed={pf['series_narrowed']} "
                     f"full={pf['series_full']} "
                     f"of {pf['series_examined']}; "
-                    f"coverage={pf['coverage']:.2f})\n"
+                    f"coverage={pf['coverage']:.2f}; "
+                    f"aggindex built={pf['aggindex_built']} "
+                    f"cached={pf['aggindex_cached']})\n"
                     + result.plan_analyze)
             if result.plan_cache is not None:
                 result.plan_analyze = (

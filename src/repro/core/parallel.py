@@ -65,8 +65,9 @@ class SeriesOutcome:
     metrics: Optional[RunMetrics] = None
     segments_charged: int = 0
     error: Optional[BaseException] = None
-    #: Prefilter decision counters for this series (``None`` when the
-    #: prefilter was off or inert — docs/PREFILTER.md).
+    #: Prefilter decision counters for this series, plus the
+    #: ``aggindex_*`` cache events of its evaluation (``None`` when
+    #: there were neither — docs/PREFILTER.md).
     prefilter: Optional[Counter] = None
 
 
@@ -120,6 +121,11 @@ def run_series(plan: PhysicalOperator, raw_plan: PhysicalOperator,
             _logger.exception("series %s failed with a non-library error "
                               "(isolated by the on_error policy)",
                               task.series.key)
+    if ctx is not None:
+        ctx.settle_indexes()
+        if ctx.index_events:
+            pf_counters = pf_counters or Counter()
+            pf_counters.update(ctx.index_events)
     seconds = time.perf_counter() - t0
     metrics = ctx.metrics if ctx is not None else None
     if metrics is not None:

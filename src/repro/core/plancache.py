@@ -10,7 +10,7 @@ stages:
 * ``compile`` — ``(query_text, params, registry)`` → bound
   :class:`~repro.lang.query.Query`;
 * ``plan`` — ``(bound query fingerprint,
-  EngineConfig.plan_fingerprint() = planner, sharing, prefilter,
+  EngineConfig.plan_fingerprint() = planner, sharing,
   data-stats fingerprint)`` → ``(physical plan, planner_fallback
   reason, extracted prefilter plan)``.
 
@@ -46,9 +46,8 @@ from repro.timeseries.series import Series
 #: A cached plan entry: the physical plan, the planner-fallback reason
 #: recorded when it was built (re-reported on every hit so a cached
 #: fallback plan stays visible as one), and the extracted prefilter
-#: plan (:class:`repro.plan.prefilter.PrefilterPlan`, or ``None`` for
-#: entries built with the prefilter disabled).
-PlanEntry = Tuple[PhysicalOperator, Optional[str], Optional[object]]
+#: plan (:class:`repro.plan.prefilter.PrefilterPlan`).
+PlanEntry = Tuple[PhysicalOperator, Optional[str], object]
 
 
 def params_fingerprint(params: Optional[dict]) -> tuple:
@@ -67,7 +66,13 @@ def series_fingerprint(series: Series) -> tuple:
     change the cost model's sampled statistics could observe shifts at
     least one of these with overwhelming probability; false sharing
     would require crafting two different series with identical digests.
+    A series is immutable, so the digest is computed once and kept on it
+    (a served table's key costs no pass over its data per request).
     """
+    return series.derived(series_fingerprint, lambda: _digest(series))[0]
+
+
+def _digest(series: Series) -> tuple:
     parts: list = [series.key, len(series), series.time_unit]
     for name in series.column_names:
         arr = series.column(name)
@@ -138,12 +143,6 @@ class PlanCache:
                  series_list: Sequence[Series]) -> tuple:
         """Cache key for one (bound query, engine options, data)
         combination.
-
-        ``prefilter`` is among the options because entries built with it
-        enabled additionally carry the extracted
-        :class:`~repro.plan.prefilter.PrefilterPlan`; the *physical
-        plan* inside the entry is identical either way (planning never
-        depends on the toggle — docs/PREFILTER.md).
         """
         return (query.describe(), id(query.registry),
                 *config.plan_fingerprint(), stats_fingerprint(series_list))

@@ -52,8 +52,8 @@ class IndexedProvider(E.AggregateProvider):
     An aggregate call is answered from an index when the aggregate supports
     indexing and all of its column arguments resolve to the *current*
     segment (cross-segment calls like ``corr`` always evaluate directly).
-    Indexes are built once per (series, call signature) and cached on the
-    execution context.
+    Indexes are built once per (series, call signature) and resident on
+    the series (:meth:`ExecContext.aggregate_index`).
     """
 
     def __init__(self, ctx: "ExecContext"):
@@ -104,7 +104,12 @@ class ExecContext:
         self.series = series
         self.registry = registry
         self.stats: Counter = Counter()
+        #: The indexes this evaluation has touched, by call signature.
         self._indexes: Dict[tuple, AggregateIndex] = {}
+        #: ``aggindex_built`` / ``aggindex_cached``: was a touched index
+        #: resident on the series?  The cache, not the work, so kept out
+        #: of :attr:`stats` (docs/OBSERVABILITY.md).
+        self.index_events: Counter = Counter()
         self._probe_caches: Dict[tuple, List[Segment]] = {}
         self.direct_provider = CountingProvider(self)
         self.indexed_provider = IndexedProvider(self)
@@ -181,15 +186,28 @@ class ExecContext:
 
     def aggregate_index(self, agg: Aggregate, call: E.AggCall,
                         extra: Tuple[float, ...]) -> AggregateIndex:
-        """Get or build the shared index for one aggregate call signature."""
-        key = (agg.name, tuple((c.column) for c in call.columns), extra)
+        """The shared index for one aggregate call signature, resident
+        on the series under the aggregate *object* (two registries never
+        share one).  ``stats['index_builds']`` counts the indexes this
+        evaluation first touched, whether found there or built."""
+        key = (agg, tuple(ref.column for ref in call.columns), extra)
         index = self._indexes.get(key)
         if index is None:
-            columns = [self.series.column(ref.column) for ref in call.columns]
-            index = agg.build_index(columns, list(extra))
+            series = self.series
+            index, built = series.derived(key, lambda: agg.build_index(
+                [series.column(name) for name in key[1]], list(extra)))
             self._indexes[key] = index
             self.stats["index_builds"] += 1
+            self.index_events[
+                "aggindex_built" if built else "aggindex_cached"] += 1
         return index
+
+    def settle_indexes(self) -> None:
+        """Done with the touched indexes: let the series re-read the
+        sizes of those that grow on lookup and hold its cap."""
+        growing = [key for key, index in self._indexes.items() if index.grows]
+        if growing:
+            self.series.settle_derived(growing)
 
     def prebuild_indexes(self, calls: Sequence[E.AggCall]) -> None:
         """Eagerly build indexes for the given calls (baseline sharing)."""
@@ -204,6 +222,7 @@ class ExecContext:
                     self.series, 0, 0, registry=self.registry)))
                 for e in call.extra)
             self.aggregate_index(agg, call, extra).materialize_all()
+        self.settle_indexes()
 
     def probe_cache_get(self, key: tuple) -> Optional[List[Segment]]:
         return self._probe_caches.get(key)

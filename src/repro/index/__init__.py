@@ -11,8 +11,7 @@ after quantization), so pruning can never dismiss a true match.
 """
 
 from repro.index.summary import (DEFAULT_BLOCK_SIZE, ColumnSummary,
-                                 SeriesSummary, build_summary, cache_counters,
-                                 clear_cache, summary_for)
+                                 SeriesSummary, build_summary, summary_for)
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "ColumnSummary", "SeriesSummary",
-           "build_summary", "cache_counters", "clear_cache", "summary_for"]
+           "build_summary", "summary_for"]

@@ -24,16 +24,16 @@ make the linspace alphabet useless, and exact bounds are trivially
 sound.  Non-numeric (object-dtype) columns are recorded as unsupported;
 the prefilter treats atoms over them as always-possible.
 
-Summaries are cached per :class:`~repro.timeseries.series.Series`
-object (weakly, so dropping a series drops its summary) and invalidated
-by length change — the staleness signal a mutable store would feed.
+A summary is a pure function of an immutable
+:class:`~repro.timeseries.series.Series`, so it is kept on the series
+(:meth:`Series.derived <repro.timeseries.series.Series.derived>`, the
+one residency mechanism — aggregate indexes live there too) and goes
+when the series does.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -316,57 +316,24 @@ def build_summary(series: Series,
                          columns=columns)
 
 
-# ---------------------------------------------------------------------------
-# Weak per-series cache
-# ---------------------------------------------------------------------------
-
-_cache: "weakref.WeakKeyDictionary[Series, SeriesSummary]" = \
-    weakref.WeakKeyDictionary()
-_cache_lock = threading.Lock()
-_cache_counters: Counter = Counter()
-
-
 def summary_for(series: Series, block_size: int = DEFAULT_BLOCK_SIZE,
                 counters: Optional[Counter] = None) -> SeriesSummary:
-    """The cached summary for ``series``, built on first use.
+    """The summary resident on ``series``, built on first use.
 
-    A cached summary whose length or block size no longer matches the
-    series is *stale* (the series object was mutated or the requested
-    granularity changed) and is rebuilt; ``counters`` (and the
-    module-level :func:`cache_counters`) record built/cached/stale
-    events for observability.
+    A resident summary at another granularity than the one asked for is
+    *stale* and is rebuilt in place; ``counters`` records the
+    ``index_built`` / ``index_cached`` / ``index_stale`` events, which
+    describe the cache, not the work a query performed.
     """
-    with _cache_lock:
-        cached = _cache.get(series)
-    stale = cached is not None and (cached.n != len(series)
-                                    or cached.block_size != block_size)
-    if cached is not None and not stale:
-        _note(counters, "index_cached")
-        return cached
-    if stale:
-        _note(counters, "index_stale")
-    summary = build_summary(series, block_size)
-    with _cache_lock:
-        _cache[series] = summary
-    _note(counters, "index_built")
-    return summary
+    def build() -> SeriesSummary:
+        return build_summary(series, block_size)
 
-
-def _note(counters: Optional[Counter], event: str) -> None:
-    with _cache_lock:
-        _cache_counters[event] += 1
+    summary, built = series.derived(summary_for, build)
+    if not built and summary.block_size != block_size:
+        series.drop_derived(summary_for)
+        summary, built = series.derived(summary_for, build)
+        if counters is not None:
+            counters["index_stale"] += 1
     if counters is not None:
-        counters[event] += 1
-
-
-def cache_counters() -> Counter:
-    """Process-wide cache event counters (built/cached/stale)."""
-    with _cache_lock:
-        return Counter(_cache_counters)
-
-
-def clear_cache() -> None:
-    """Drop every cached summary and reset the counters (tests)."""
-    with _cache_lock:
-        _cache.clear()
-        _cache_counters.clear()
+        counters["index_built" if built else "index_cached"] += 1
+    return summary

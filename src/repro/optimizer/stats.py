@@ -158,6 +158,7 @@ def collect_stats(query: Query, series_list: Sequence[Series],
                                      registry=query.registry)
                 if E.evaluate_condition(var.condition, ectx):
                     passed += 1
+            ctx.settle_indexes()
         if total == 0:
             catalog.variables[name] = VarStats(0.0, 0.0, 0)
         else:

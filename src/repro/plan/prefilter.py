@@ -725,7 +725,8 @@ def decide(plan: PrefilterPlan, series: Series, ctx,
 COUNTER_KEYS = (
     "series_examined", "series_skipped", "series_narrowed", "series_full",
     "series_unsupported", "coverage_declined", "index_built",
-    "index_cached", "index_stale", "index_invalid", "blocks_total",
+    "index_cached", "index_stale", "index_invalid", "aggindex_built",
+    "aggindex_cached", "blocks_total",
     "blocks_live", "ranges_materialized", "candidate_points",
     "series_points",
 )
@@ -784,12 +785,8 @@ def evaluate_with_prefilter(plan, prefilter_plan: Optional[PrefilterPlan],
     counters["series_narrowed"] += 1
     counters["ranges_materialized"] += len(ranges)
     counters["candidate_points"] += sum(hi - lo + 1 for lo, hi in ranges)
-    if ctx.segment_budget is not None:
-        # Materialized candidate ranges are retained segment state:
-        # charge them like any other materialization (docs/PREFILTER.md
-        # documents this as an intentional on/off accounting difference
-        # under max_segments).
-        ctx.charge(len(ranges))
+    # trex: no-charge(at most n / block_size range tuples, never segments;
+    # charging them would move every max_segments boundary between on and off)
     for lo, hi in ranges:
         sink.consume(plan.eval(ctx, SearchSpace(lo, hi, lo, hi), {}), ctx)
     return counters

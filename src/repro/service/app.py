@@ -155,7 +155,9 @@ class QueryService:
                                          length=length)
 
     def add_table(self, name: str, table: Table) -> None:
-        """Register an extra served dataset (tests, embedding)."""
+        """Serve ``table`` under ``name``.  Tables are immutable and
+        their derived state is resident on them (docs/SERVICE.md): new
+        data is a new ``Table`` registered over the old name."""
         self.tables[name] = table
 
     async def start(self) -> Tuple[str, int]:
@@ -517,7 +519,8 @@ class QueryService:
         result = engine.execute_query(item.query, item.table)
         if result.prefilter:
             for key in ("series_examined", "series_skipped",
-                        "series_narrowed", "series_full"):
+                        "series_narrowed", "series_full",
+                        "aggindex_built", "aggindex_cached"):
                 self.metrics.counters.add(f"prefilter_{key}",
                                           int(result.prefilter[key]))
         exec_seconds = result.planning_seconds + \

@@ -21,10 +21,11 @@ counter                    meaning
 ``breaker_trips``          circuit-breaker closed->open transitions
 ``worker_crashes``         pool-level crashes observed (parallel hook)
 ``drained``                admitted queries settled during drain
-``prefilter_*``            pruning totals summed over prefilter-enabled
-                           requests: ``series_examined``,
+``prefilter_*``            totals over requests: ``series_examined``,
                            ``series_skipped``, ``series_narrowed``,
-                           ``series_full`` (docs/PREFILTER.md)
+                           ``series_full`` (docs/PREFILTER.md), and
+                           ``aggindex_cached`` / ``aggindex_built``:
+                           indexes found resident on the table / built
 =========================  ================================================
 """
 

@@ -438,7 +438,7 @@ TREX_BACKENDS: Dict[str, Dict[str, object]] = {
     "trex:sm_right": {"optimizer": "sm_right"},
     "trex:process": {"executor": "process", "workers": 2},
     "trex:novec": {"vectorize": False},
-    "trex:prefilter": {"prefilter": True},
+    "trex:noprefilter": {"prefilter": False},
 }
 
 #: The full backend matrix: the engine configurations above plus every
@@ -457,7 +457,7 @@ BACKENDS: Dict[str, Callable[[Query, Series], MatchSet]] = {
 #: Backends checked on every case; the rest rotate in by case index.
 CORE_BACKENDS = ("trex:cost:auto", "trex:cost:on", "trex:cost:off",
                  "trex:pr_left", "trex:process", "trex:novec",
-                 "trex:prefilter",
+                 "trex:noprefilter",
                  "trex-batch", "afa", "zstream")
 ROTATING_BACKENDS = ("trex:pr_right", "trex:sm_left", "trex:sm_right",
                      "afa:off", "nested-afa", "opencep")
@@ -534,12 +534,16 @@ def oracle_check(query: Query, query_text: str, tstamps: Sequence[float],
 # Scalar/vector deep-equality oracle
 # ---------------------------------------------------------------------------
 
-#: ``OpMetrics.to_dict`` keys outside the byte-identical contract: the
-#: plan-construction serial, the two wall times, and the leaf's
+#: Names outside the byte-identical contract.  Of ``OpMetrics.to_dict``:
+#: the plan-construction serial, the two wall times, and the leaf's
 #: evaluation *strategy* (batch vs scalar calls), which is exactly what
-#: the toggles under test change.  Nothing else is excluded
+#: the toggles under test change.  Of the run counters: whether a
+#: touched aggregate index was found resident on its series or built —
+#: the cache, not the work; reported on ``QueryResult.prefilter``, never
+#: in per-series ``stats``.  Nothing else is excluded
 #: (docs/ENGINE_CONTRACTS.md; tests/test_fuzz.py pins the set).
-SNAPSHOT_EXCLUDED = ("op_id", "time_seconds", "self_seconds", "strategy")
+SNAPSHOT_EXCLUDED = ("op_id", "time_seconds", "self_seconds", "strategy",
+                     "aggindex_built", "aggindex_cached")
 
 
 def _metrics_snapshot(metrics: object) -> Optional[List[Dict[str, object]]]:
@@ -598,6 +602,19 @@ def _first_diff(scalar: object, vector: object, path: str = "") -> str:
     return f"{path or 'result'}: {scalar!r} != {vector!r}"
 
 
+def _deep_run(query: Query, series: Series,
+              **options: object) -> Tuple[object, object]:
+    """``(snapshot, result)`` of one analyzed, error-isolating serial
+    run; a crash is a finding, so it comes back as the snapshot."""
+    try:
+        result = TRexEngine(executor="serial", analyze=True,
+                            on_error="partial",
+                            **options).execute_query(query, [series])
+        return _result_snapshot(result), result
+    except Exception as exc:  # crashes are findings too
+        return ("raised", type(exc).__name__, str(exc)), None
+
+
 def vector_check(query: Query, query_text: str, tstamps: Sequence[float],
                  values: Sequence[float]) -> List[Discrepancy]:
     """Deep-diff scalar vs. vector execution of the same query.
@@ -612,16 +629,9 @@ def vector_check(query: Query, query_text: str, tstamps: Sequence[float],
     series = build_series(tstamps, values)
     found: List[Discrepancy] = []
     for sharing in ("on", "off"):
-        snaps: Dict[bool, object] = {}
-        for vectorize in (False, True):
-            try:
-                result = TRexEngine(
-                    optimizer="cost", sharing=sharing, executor="serial",
-                    analyze=True, on_error="partial",
-                    vectorize=vectorize).execute_query(query, [series])
-                snaps[vectorize] = _result_snapshot(result)
-            except Exception as exc:  # crashes are findings too
-                snaps[vectorize] = ("raised", type(exc).__name__, str(exc))
+        snaps = {vectorize: _deep_run(query, series, sharing=sharing,
+                                      vectorize=vectorize)[0]
+                 for vectorize in (False, True)}
         if snaps[False] != snaps[True]:
             found.append(Discrepancy(
                 "vector", f"sharing={sharing}", query_text,
@@ -678,21 +688,11 @@ def prefilter_check(query: Query, query_text: str, tstamps: Sequence[float],
             "prefilter", "envelope", query_text, list(tstamps),
             list(values),
             f"index envelope unsound: {type(exc).__name__}: {exc}"))
-    snaps: Dict[bool, object] = {}
-    pruned = False
-    for enabled in (False, True):
-        try:
-            result = TRexEngine(
-                optimizer="cost", sharing="auto", executor="serial",
-                analyze=True, on_error="partial",
-                prefilter=enabled).execute_query(query, [series])
-            snaps[enabled] = _result_snapshot(result)
-            if enabled and result.prefilter is not None:
-                pruned = bool(result.prefilter["series_skipped"]
-                              or result.prefilter["series_narrowed"])
-        except Exception as exc:  # crashes are findings too
-            snaps[enabled] = ("raised", type(exc).__name__, str(exc))
-    off, on = snaps[False], snaps[True]
+    off, _ = _deep_run(query, series, prefilter=False)
+    on, result = _deep_run(query, series, prefilter=True)
+    report = getattr(result, "prefilter", None)  # None: crash, empty series
+    pruned = bool(report and (report["series_skipped"]
+                              or report["series_narrowed"]))
     if isinstance(off, dict) and isinstance(on, dict) and pruned:
         off, on = _parity_slice(off), _parity_slice(on)
     if off != on:
@@ -700,6 +700,27 @@ def prefilter_check(query: Query, query_text: str, tstamps: Sequence[float],
             "prefilter", f"pruned={pruned}", query_text,
             list(tstamps), list(values), _first_diff(off, on)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Cold-vs-warm oracle (resident derived state)
+# ---------------------------------------------------------------------------
+
+def warm_check(query: Query, query_text: str, tstamps: Sequence[float],
+               values: Sequence[float]) -> List[Discrepancy]:
+    """The ``trex:warm`` side: the default configuration run twice on
+    the *same* :class:`Series` object.
+
+    The first run builds the series' summary and aggregate indexes,
+    the second finds them resident; the whole snapshot must not move
+    (docs/PREFILTER.md, "Resident state").
+    """
+    series = build_series(tstamps, values)
+    cold, warm = (_deep_run(query, series)[0] for _ in range(2))
+    if cold == warm:
+        return []
+    return [Discrepancy("warm", "trex:warm", query_text, list(tstamps),
+                        list(values), _first_diff(cold, warm))]
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1017,8 @@ def replay_case(case: Dict[str, object],
         found.extend(vector_check(query, query_text, tstamps, values))
     if str(case.get("kind", "")).startswith("prefilter"):
         found.extend(prefilter_check(query, query_text, tstamps, values))
+    if str(case.get("kind", "")).startswith("warm"):
+        found.extend(warm_check(query, query_text, tstamps, values))
     return found
 
 
@@ -1015,6 +1038,7 @@ class FuzzReport:
     metamorphic_checks: int = 0
     vector_checks: int = 0
     prefilter_checks: int = 0
+    warm_checks: int = 0
     discrepancies: List[Discrepancy] = field(default_factory=list)
     minimized: List[Dict[str, object]] = field(default_factory=list)
 
@@ -1028,6 +1052,7 @@ class FuzzReport:
             "metamorphic_checks": self.metamorphic_checks,
             "vector_checks": self.vector_checks,
             "prefilter_checks": self.prefilter_checks,
+            "warm_checks": self.warm_checks,
             "discrepancies": [d.to_dict() for d in self.discrepancies],
             "minimized": self.minimized,
         }
@@ -1052,6 +1077,9 @@ def _minimize_discrepancy(spec: object, disc: Discrepancy,
             if kind == "prefilter":
                 return bool(prefilter_check(compile_query(text), text,
                                             tstamps, values))
+            if kind == "warm":
+                return bool(warm_check(compile_query(text), text,
+                                       tstamps, values))
             failures = metamorphic_check(cand, tstamps, values)
             return any(f.kind == kind for f in failures)
         except TRexError:
@@ -1114,6 +1142,8 @@ def run_fuzz(queries: int = 100, seed: int = 0, series_per_query: int = 3,
             failures.extend(vector_check(query, text, tstamps, values))
             report.prefilter_checks += 1
             failures.extend(prefilter_check(query, text, tstamps, values))
+            report.warm_checks += 1
+            failures.extend(warm_check(query, text, tstamps, values))
             settle(failures)
         # One extra boundary-biased series per query, deep-checked only.
         tstamps, values = vgen.generate()
@@ -1125,5 +1155,8 @@ def run_fuzz(queries: int = 100, seed: int = 0, series_per_query: int = 3,
         tstamps, values = pgen.generate()
         report.cases_checked += 1
         report.prefilter_checks += 1
-        settle(prefilter_check(query, text, tstamps, values))
+        failures = prefilter_check(query, text, tstamps, values)
+        report.warm_checks += 1
+        failures.extend(warm_check(query, text, tstamps, values))
+        settle(failures)
     return report

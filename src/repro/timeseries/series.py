@@ -4,15 +4,46 @@ A :class:`Series` stores one ordered partition of the input data.  Columns
 are numpy arrays; one column is designated the *order column* (typically the
 timestamp) and must be non-decreasing.  Segments address the series by
 integer index positions, so a segment ``[i, j]`` can be sliced in O(1).
+
+A series is immutable (read-only columns), so state that is a pure
+function of it — symbolic summary, aggregate indexes, plan-cache
+fingerprint — is kept *on* it (:meth:`Series.derived`) and lives as long
+as it does: new data is a new ``Series``, identity is the invalidation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import threading
+from collections import OrderedDict
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
 from repro.errors import DataError
+
+#: Cap on the resident bytes of state derived from one series
+#: (:meth:`Series.derived`); least recently used entries go first.
+DERIVED_BYTES_CAP = 32 << 20
+
+
+def resident_bytes(value: object, _seen: Optional[Set[int]] = None) -> int:
+    """Array bytes reachable from ``value`` (an index, a summary);
+    containers are snapshotted before they are walked, so an index can
+    be measured while another thread grows it by whole-row replacement."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    seen = set() if _seen is None else _seen
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        value = [getattr(value, name, None) for klass in type(value).__mro__
+                 for name in klass.__dict__.get("__slots__", ())] \
+            + list(getattr(value, "__dict__", {}).values())
+    return sum(resident_bytes(part, seen) for part in value)
 
 
 class Series:
@@ -72,6 +103,62 @@ class Series:
         if len(order) > 1 and np.any(np.diff(order.astype(np.float64)) < 0):
             raise DataError(f"order column {order_column!r} is not sorted for "
                             f"partition {key!r}")
+        for arr in self._columns.values():
+            arr.flags.writeable = False
+        self._init_derived()
+
+    # -- resident derived state ---------------------------------------------
+
+    def _init_derived(self) -> None:
+        #: key -> [value, resident bytes], least recently used first.
+        self._derived: "OrderedDict[Hashable, list]" = OrderedDict()
+        self._derived_bytes = 0
+        self._derived_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # Derived state stays with its process: a worker payload never grows.
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_derived")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_derived()
+
+    def derived(self, key: Hashable,
+                build: Callable[[], object]) -> Tuple[object, bool]:
+        """``(value, built)``: the value resident under ``key``, built on
+        first use by ``build()``, a pure function of this series.  It
+        runs outside the lock (slow, may raise — then nothing is stored);
+        of racing builders the first to publish wins for all of them."""
+        with self._derived_lock:
+            entry = self._derived.get(key)
+            if entry is not None:
+                self._derived.move_to_end(key)
+                return entry[0], False
+        value = build()
+        with self._derived_lock:
+            entry = self._derived.setdefault(key, [value, 0])
+        if entry[0] is value:
+            self.settle_derived((key,))
+        return entry[0], True
+
+    def settle_derived(self, keys: Iterable[Hashable]) -> None:
+        """Re-read the sizes under ``keys`` (an index may grow after it
+        is stored) and evict down to :data:`DERIVED_BYTES_CAP`; an entry
+        over the cap on its own is not kept."""
+        with self._derived_lock:
+            for entry in filter(None, map(self._derived.get, keys)):
+                size = resident_bytes(entry[0])
+                self._derived_bytes += size - entry[1]
+                entry[1] = size
+            while self._derived_bytes > DERIVED_BYTES_CAP and self._derived:
+                self._derived_bytes -= self._derived.popitem(last=False)[1][1]
+
+    def drop_derived(self, key: Optional[Hashable] = None) -> None:
+        """Forget the entry under ``key``, or everything when ``None``."""
+        with self._derived_lock:
+            for each in list(self._derived) if key is None else [key]:
+                self._derived_bytes -= self._derived.pop(each, (None, 0))[1]
 
     def _apply_nan_policy(self, nan_policy: str,
                           key: Optional[tuple]) -> None:

@@ -24,6 +24,10 @@ class Table:
     operate on: :meth:`partition` groups rows by the partition columns, sorts
     each group by the order column and yields one :class:`Series` per group
     (Section 3, "Time Series Data Model").
+
+    A table is immutable (read-only column views) and memoises its
+    partitions, so every query over it sees the same :class:`Series`
+    objects and the state resident on them; new data is a new ``Table``.
     """
 
     def __init__(self, columns: Dict[str, Sequence], time_unit: str = "DAY",
@@ -42,6 +46,9 @@ class Table:
             elif len(arr) != length:
                 raise DataError(f"column {name!r} has length {len(arr)}, "
                                 f"expected {length}")
+            # A read-only *view*: the caller's own array stays writable.
+            arr = arr.view()
+            arr.flags.writeable = False
             self._columns[name] = arr
         if length is None:
             raise DataError("a table needs at least one column")
@@ -50,6 +57,7 @@ class Table:
         #: Non-finite handling threaded into every Series this table
         #: partitions into (see :class:`Series` for the semantics).
         self.nan_policy = nan_policy
+        self._partitions: Dict[tuple, List[Series]] = {}
 
     def __len__(self) -> int:
         return self._length
@@ -71,7 +79,20 @@ class Table:
 
         ``partition_by`` may be ``None`` or empty for single-series tables.
         Partitions are returned in deterministic (sorted key) order.
+        The series are built once per ``(partition_by, order_by,
+        time_unit, nan_policy)``; the list is the caller's own.
         """
+        key = (tuple(partition_by or ()), order_by, self.time_unit,
+               self.nan_policy)
+        series_list = self._partitions.get(key)
+        if series_list is None:
+            # setdefault: of racing builders the first to publish wins.
+            series_list = self._partitions.setdefault(
+                key, self._build_partitions(partition_by, order_by))
+        return list(series_list)
+
+    def _build_partitions(self, partition_by: Optional[Sequence[str]],
+                          order_by: str) -> List[Series]:
         if order_by not in self._columns:
             raise DataError(f"ORDER BY column {order_by!r} not in table")
         partition_by = list(partition_by or [])

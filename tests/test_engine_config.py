@@ -187,10 +187,13 @@ def test_fuzz_backends_are_config_overrides():
     assert set(TREX_BACKENDS) <= set(BACKENDS)
     for label, overrides in TREX_BACKENDS.items():
         EngineConfig(**overrides)
-    assert {"trex:process", "trex:novec", "trex:prefilter"} <= \
+    assert {"trex:process", "trex:novec", "trex:noprefilter"} <= \
         set(TREX_BACKENDS)
-    # With the tri-states gone these were trex:cost:auto twice more.
-    assert not {"trex:thread", "trex:vec", "trex:noprefilter"} & set(BACKENDS)
+    # Each of these would be trex:cost:auto once more (ROADMAP 7e).
+    assert not {"trex:thread", "trex:vec", "trex:prefilter"} & set(BACKENDS)
+    assert [label for label, overrides in TREX_BACKENDS.items()
+            if EngineConfig(**{"executor": "serial", **overrides})
+            == EngineConfig(executor="serial")] == ["trex:cost:auto"]
 
 
 class TestServeDrift:
@@ -219,11 +222,13 @@ class TestServeDrift:
         assert self.serve("--sharing", "off").engine.sharing == "off"
 
     def test_vectorize_is_not_a_command_line_option(self, capsys):
-        for command in (["query", "--template", "v_shape"], ["explain",
-                        "--template", "v_shape"], ["serve"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--vectorize", "off"])
-        assert "--vectorize" in capsys.readouterr().err
+        # Nor is prefilter: both are differential-test hooks, kwarg-only.
+        for flag in ("--vectorize", "--prefilter"):
+            for command in (["query", "--template", "v_shape"], ["explain",
+                            "--template", "v_shape"], ["serve"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(command + [flag, "off"])
+            assert flag in capsys.readouterr().err
 
     def test_serve_defaults_are_the_service_defaults(self):
         assert self.serve().engine == default_engine() == \

@@ -240,7 +240,8 @@ def test_snapshot_excludes_only_strategy_and_clocks():
     from repro.exec.metrics import OpMetrics
 
     assert fuzz.SNAPSHOT_EXCLUDED == ("op_id", "time_seconds",
-                                      "self_seconds", "strategy")
+                                      "self_seconds", "strategy",
+                                      "aggindex_built", "aggindex_cached")
     record = OpMetrics(7, "SegGenFilter(A)", batch_calls=2, scalar_calls=1)
     record.counters["condition_evals"] = 5
     kept = set(record.to_dict()) - set(fuzz.SNAPSHOT_EXCLUDED)
@@ -262,6 +263,23 @@ def test_snapshot_excludes_only_strategy_and_clocks():
     assert snaps[0] == snaps[1]
     assert strategies[0] != strategies[1]
     assert strategies[1][0]["batch_calls"] == 1
+
+    # aggindex_built / aggindex_cached say whether an index was found
+    # resident on the series: the second run over one Series reads
+    # "cached" where the first read "built", the snapshot does not move,
+    # and neither name ever enters the per-series stats.
+    indexed = compile_query(
+        "ORDER BY tstamp\nPATTERN A\n"
+        "DEFINE SEGMENT A AS avg(A.val) >= 3 AND window(2, 9)")
+    # (A rule planner: the cost planner's sampling touches it first.)
+    runs = [TRexEngine(analyze=True, optimizer="pr_left", executor="serial")
+            .execute_query(indexed, [series]) for _ in range(2)]
+    assert [(run.prefilter["aggindex_built"],
+             run.prefilter["aggindex_cached"]) for run in runs] == \
+        [(1, 0), (0, 1)]
+    assert fuzz._result_snapshot(runs[0]) == fuzz._result_snapshot(runs[1])
+    assert not set(fuzz.SNAPSHOT_EXCLUDED) & set(runs[1].stats)
+    assert runs[1].stats["index_builds"] == 1
 
 
 # ---------------------------------------------------------------------------

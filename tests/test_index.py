@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import DataError
+from collections import Counter
+
 from repro.index.summary import (DEFAULT_BLOCK_SIZE, SYMBOLS,
                                  SeriesSummary, _block_extremes,
-                                 build_summary, cache_counters,
-                                 clear_cache, summary_for)
+                                 build_summary, summary_for)
 from repro.timeseries.series import Series
 
 from tests.conftest import make_series
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 class TestBuildSummary:
@@ -122,24 +116,27 @@ class TestIntervalProbes:
 
 
 class TestCache:
+    """The summary is resident on its series (``Series.derived``)."""
+
     def test_summary_cached_per_series(self, rng):
         series = make_series(rng.normal(0, 1.0, 100))
-        first = summary_for(series)
-        second = summary_for(series)
+        counts = Counter()
+        first = summary_for(series, counters=counts)
+        second = summary_for(series, counters=counts)
         assert first is second
-        counts = cache_counters()
         assert counts["index_built"] == 1
         assert counts["index_cached"] == 1
 
     def test_block_size_change_is_stale(self, rng):
         series = make_series(rng.normal(0, 1.0, 100))
-        summary_for(series, block_size=64)
-        rebuilt = summary_for(series, block_size=32)
+        counts = Counter()
+        summary_for(series, block_size=64, counters=counts)
+        rebuilt = summary_for(series, block_size=32, counters=counts)
         assert rebuilt.block_size == 32
-        assert cache_counters()["index_stale"] == 1
+        assert counts["index_stale"] == 1
+        assert summary_for(series, block_size=32) is rebuilt
 
     def test_counters_argument_receives_events(self, rng):
-        from collections import Counter
         series = make_series(rng.normal(0, 1.0, 50))
         local = Counter()
         summary_for(series, counters=local)
@@ -150,10 +147,18 @@ class TestCache:
     def test_clear_cache_resets(self, rng):
         series = make_series(rng.normal(0, 1.0, 50))
         summary_for(series)
-        clear_cache()
-        assert cache_counters() == {}
-        summary_for(series)
-        assert cache_counters()["index_built"] == 1
+        series.drop_derived()
+        counts = Counter()
+        summary_for(series, counters=counts)
+        assert counts == {"index_built": 1}
+
+    def test_summary_goes_with_its_series(self, rng):
+        # Residency is per object: an equal series starts cold.
+        values = rng.normal(0, 1.0, 50)
+        summary_for(make_series(values))
+        counts = Counter()
+        summary_for(make_series(values), counters=counts)
+        assert counts == {"index_built": 1}
 
 
 class TestQuantizationEdgeCases:

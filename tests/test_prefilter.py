@@ -9,7 +9,6 @@ import pytest
 from repro.core.engine import TRexEngine
 from repro.datasets import load
 from repro.errors import PlanError
-from repro.index.summary import clear_cache
 from repro.lang.query import compile_query
 from repro.plan.logical import build_logical_plan
 from repro.plan.prefilter import (COUNTER_KEYS, Atom, PrefilterPlan,
@@ -18,13 +17,6 @@ from repro.queries import get_template
 from repro.queries.templates import ALL_TEMPLATES
 
 from tests.conftest import make_series
-
-
-@pytest.fixture(autouse=True)
-def _fresh_index_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def extract(text, params=None):
@@ -228,20 +220,22 @@ class TestToggle:
 
 
 class TestPlanCacheSeparation:
-    def test_on_off_use_distinct_cache_entries(self):
+    def test_on_off_share_one_cache_entry(self):
+        # The toggle is not part of the plan key: the physical plan never
+        # depended on it and every entry carries the extracted prefilter
+        # plan, so an entry the off engine built still prunes for the on
+        # engine.
         from repro.core.plancache import PlanCache
         cache = PlanCache(max_entries=8)
         query = compile_query(SPIKE)
         series = [make_series(np.zeros(100) + 5.0)]
         on = TRexEngine(prefilter=True, plan_cache=cache)
         off = TRexEngine(prefilter=False, plan_cache=cache)
-        on.execute_query(query, series)
-        off.execute_query(query, series)
-        stats = cache.counters()
-        assert stats["plan_misses"] == 2       # distinct keys
-        on.execute_query(query, series)
-        off.execute_query(query, series)
-        assert cache.counters()["plan_hits"] == 2
+        assert off.execute_query(query, series).prefilter is None
+        pruned = on.execute_query(query, series)
+        assert cache.counters()["plan_misses"] == 1
+        assert cache.counters()["plan_hits"] == 1
+        assert pruned.prefilter["series_skipped"] == 1
 
     def test_cached_prefilter_plan_still_prunes(self):
         from repro.core.plancache import PlanCache
