@@ -34,7 +34,8 @@ def timed(fn: Callable[[], object]) -> Tuple[float, object]:
 
 def cold(series_list: Sequence[Series]) -> Sequence[Series]:
     """The paper charges every competitor its own ``index()`` builds
-    (§4.2): forget what earlier runs left resident on the series."""
+    (§4.2) and statistics sampling (Table 7): forget what earlier runs
+    left resident on the series."""
     for series in series_list:
         series.drop_derived()
     return series_list
@@ -173,7 +174,7 @@ def run_ndcg(template: QueryTemplate, table: Table,
         series_list = table.partition(query.partition_by, query.order_by)
         logical = build_logical_plan(query)
         stats_seconds, stats = timed(
-            lambda: collect_stats(query, series_list,
+            lambda: collect_stats(query, cold(series_list),
                                   num_series=num_series))
         collection.append(stats_seconds)
         rng = np.random.default_rng(7)

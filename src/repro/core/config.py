@@ -106,9 +106,10 @@ class EngineConfig:
         None, "process-pool size (default: $TREX_WORKERS or a CPU "
         "heuristic)", kind=int, flag="--workers")
     vectorize: bool = _option(
-        True, "differential-test hook: False pins condition leaves to the "
-        "scalar evaluator (the fuzzer's trex:novec side); results are "
-        "byte-identical either way (docs/VECTORIZATION.md)", kind=bool)
+        True, "differential-test hook: False pins condition leaves and the "
+        "planner's sampling to the scalar evaluator (the fuzzer's "
+        "trex:novec side); results are byte-identical either way "
+        "(docs/VECTORIZATION.md)", kind=bool)
     prefilter: bool = _option(
         True, "differential-test hook: False pins every series to the "
         "full scan (the fuzzer's trex:noprefilter side); matches, errors "

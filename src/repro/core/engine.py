@@ -131,7 +131,8 @@ class TRexEngine:
                 query, logical)
         from repro.optimizer.planner import CostBasedPlanner
         planner = CostBasedPlanner(
-            allow_probes=(optimizer != "batch"), sharing=sharing)
+            allow_probes=(optimizer != "batch"), sharing=sharing,
+            vectorize=self.config.vectorize)
         try:
             return planner.plan(query, logical, series_list,
                                 deadline=deadline,

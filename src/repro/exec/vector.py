@@ -58,6 +58,7 @@ from repro.timeseries.segment import Segment
 if TYPE_CHECKING:
     from repro.exec.base import Env, ExecContext, PhysicalOperator
     from repro.lang.query import VarDef
+    from repro.lang.windows import WindowConjunction
     from repro.plan.search_space import SearchSpace
     from repro.timeseries.series import Series
 
@@ -387,35 +388,36 @@ def compiles_statically(var: "VarDef", provider_kind: str,
 
 
 class _Bound(NamedTuple):
-    """What every eval call of one leaf over one series shares (ROADMAP
-    1b: per ``(op, series)`` work is done once, not per call)."""
+    """What every evaluation of one condition over one series shares
+    (ROADMAP 1b: per ``(op, series)`` work is done once, not per call)."""
 
     program: _Program
     cols: Dict[str, np.ndarray]                 # resolved condition columns
     intervals: Dict[Tuple[float, str], float]   # in the series' time unit
     kernels: Dict[tuple, Callable]              # direct call key -> kernel
-    payload_name: Optional[str]
 
 
 # trex: no-tick(bounded by the program's columns, kernels and window specs)
-def _bind(op: "PhysicalOperator", series: "Series", registry,
-          provider_kind: str) -> Optional[_Bound]:
+def _bind(var: "VarDef", window: "WindowConjunction", series: "Series",
+          registry, provider_kind: str) -> Optional[_Bound]:
     """Compile and validate per-series assumptions; ``None`` to decline.
 
-    Checks that the condition compiles, that every condition column
-    (and, for point variables, every time-window column the diagonal
-    enumerator reads) exists as a float64 array — an object array at
-    string-equality sites — that window bounds and interval literals
-    convert to the series' time unit, and that every direct aggregate
-    call yields a kernel for its arguments.  Any failure falls back to
-    the scalar loop, which raises (or not) exactly as it always did.
+    Checks that ``var``'s condition compiles, that every condition
+    column (and, for point variables, every time-window column of
+    ``window`` the diagonal enumerator reads) exists as a float64 array
+    — an object array at string-equality sites — that window bounds and
+    interval literals convert to the series' time unit, and that every
+    direct aggregate call yields a kernel for its arguments.  Any
+    failure falls back to the scalar loop, which raises (or not) exactly
+    as it always did.  The leaf binds its operator's window, the
+    planner's sampler the variable's own (:func:`count_matches`).
     """
     from repro.timeseries.timeunits import to_base_units
-    program = compile_condition(op.var, provider_kind, registry)[0]
+    program = compile_condition(var, provider_kind, registry)[0]
     if program is None:
         return None
     timed = tuple(spec.column or series.order_column
-                  for spec in op.window.specs if spec.kind == "time")
+                  for spec in window.specs if spec.kind == "time")
     cols: Dict[str, np.ndarray] = {}
     for names, dtype in ((program.columns + timed, np.float64),
                          (program.texts, np.object_)):
@@ -428,7 +430,7 @@ def _bind(op: "PhysicalOperator", series: "Series", registry,
     # fails to convert, or an argument a kernel chokes on, must surface
     # from the scalar path instead.
     try:
-        for spec in op.window.specs:
+        for spec in window.specs:
             spec.bounds_on(series)
         intervals = {key: to_base_units(key[0], key[1], series.time_unit)
                      for key in program.intervals}
@@ -438,8 +440,7 @@ def _bind(op: "PhysicalOperator", series: "Series", registry,
         return None
     if None in kernels.values():
         return None
-    return _Bound(program, cols, intervals, kernels,
-                  op.var.name if op.var.name in op.publish else None)
+    return _Bound(program, cols, intervals, kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +653,10 @@ def _batches(ctx: "ExecContext", order: int, runs: Iterable[Run]
 # ---------------------------------------------------------------------------
 
 
-def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
-                starts: np.ndarray, ends: np.ndarray,
-                refs: "Env") -> Iterator[Segment]:
+def _evaluate(ctx: "ExecContext", bound: _Bound, starts: np.ndarray,
+              ends: np.ndarray, refs: "Env") -> Tuple[_EvalState, np.ndarray]:
+    """The bound program over one batch: its per-candidate truth, and
+    the state holding the batch's counter deltas."""
     size = len(starts)
     state = _EvalState(ctx, bound, starts, ends, refs)
     program = bound.program
@@ -662,6 +664,14 @@ def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
     if not isinstance(matched, np.ndarray) or matched.shape != (size,):
         matched = np.broadcast_to(np.asarray(matched, dtype=bool), (size,))
     state.settle_builds()
+    return state, matched
+
+
+def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
+                payload_name: Optional[str], starts: np.ndarray,
+                ends: np.ndarray, refs: "Env") -> Iterator[Segment]:
+    size = len(starts)
+    state, matched = _evaluate(ctx, bound, starts, ends, refs)
     stats = ctx.stats
     rec_counters = record.counters if record is not None else None
     hits = matched.nonzero()[0]
@@ -684,7 +694,6 @@ def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
     flushes = list(zip(names, steps))
     hit_starts = starts[hits].tolist()
     hit_ends = ends[hits].tolist()
-    payload_name = bound.payload_name
     last = len(hit_starts)
     # trex: no-tick(bounded by one already-ticked batch)
     for k in range(last + 1):
@@ -728,7 +737,7 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
     bound = ctx.vector_binds.get(op.op_id, False)
     if bound is False:
         bound = ctx.vector_binds[op.op_id] = _bind(
-            op, ctx.series, ctx.registry, provider_kind)
+            op.var, op.window, ctx.series, ctx.registry, provider_kind)
     if bound is None:
         return None
     order, runs = candidate_runs(op, ctx, sp)
@@ -744,7 +753,26 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
         return op.scalar(ctx, pairs(order, head), refs, record)
     if record is not None:
         record.batch_calls += 1
+    payload_name = op.var.name if op.var.name in op.publish else None
     return itertools.chain.from_iterable(
-        _eval_batch(ctx, record, bound, starts, ends, refs)
+        _eval_batch(ctx, record, bound, payload_name, starts, ends, refs)
         for starts, ends in _batches(ctx, order,
                                      itertools.chain(head, runs)))
+
+
+# trex: no-tick(the planner's sampler checks its deadlines per batch)
+def count_matches(ctx: "ExecContext", var: "VarDef", provider_kind: str,
+                  starts: np.ndarray, ends: np.ndarray) -> Optional[int]:
+    """How many ``(starts[i], ends[i])`` satisfy ``var``'s condition
+    (no external references), or ``None`` to run the scalar loop: the
+    planner's sampler on the leaf's program and kernels, under the
+    eligibility of :func:`try_eval`."""
+    if not ctx.vectorize or _faults.ENABLED:
+        return None
+    bound = _bind(var, var.window_conjunction, ctx.series, ctx.registry,
+                  provider_kind)
+    if bound is None:
+        return None
+    return sum(int(np.count_nonzero(_evaluate(
+        ctx, bound, starts[at:at + BATCH_SIZE], ends[at:at + BATCH_SIZE],
+        {})[1])) for at in range(0, len(starts), BATCH_SIZE))

@@ -10,6 +10,7 @@ these formulas many times per query.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -110,11 +111,17 @@ def boxed_pair_fraction(ls: float, le: float, lse: float,
 
     The canonical box anchors starts at ``[0, ℓ_s)`` and ends at
     ``[ℓ_se - ℓ_e, ℓ_se)`` within a span of ``ℓ_se`` positions.
+    A pure function of the rounded sizes and the bounds, which the DP
+    asks about dozens of times per plan: memoised.
     """
-    ls_i = max(int(round(ls)), 1)
-    le_i = max(int(round(le)), 1)
-    lse_i = max(int(round(lse)), 1)
-    lo, hi = duration
+    return _boxed_pair_fraction(max(int(round(ls)), 1),
+                                max(int(round(le)), 1),
+                                max(int(round(lse)), 1), *duration)
+
+
+@functools.lru_cache(maxsize=4096)
+def _boxed_pair_fraction(ls_i: int, le_i: int, lse_i: int, lo: float,
+                         hi: float) -> float:
     hi = min(hi, lse_i - 1.0)
     if hi < lo:
         return 0.0

@@ -79,7 +79,8 @@ class CostBasedPlanner:
     def __init__(self, allow_probes: bool = True, sharing: str = "auto",
                  params: CostParams = DEFAULT_COST_PARAMS,
                  num_series: int = 5, segments_per_var: int = 64,
-                 seed: int = 7, use_wconcat: bool = True):
+                 seed: int = 7, use_wconcat: bool = True,
+                 vectorize: bool = True):
         self.allow_probes = allow_probes
         self.sharing = sharing
         self.params = params
@@ -87,6 +88,9 @@ class CostBasedPlanner:
         self.segments_per_var = segments_per_var
         self.seed = seed
         self.use_wconcat = use_wconcat
+        #: ``EngineConfig.vectorize``: ``False`` pins sampling to the
+        #: scalar loop (the same statistics, so the same plans).
+        self.vectorize = vectorize
         # Populated per plan() call.
         self._stats: Optional[StatsCatalog] = None
         self._series: Optional[Series] = None
@@ -95,6 +99,7 @@ class CostBasedPlanner:
         self._construction: Optional[Construction] = None
         self._memo: Dict[tuple, Candidate] = {}
         self._bounds_cache: Dict[int, CM.Bounds] = {}
+        self._leaf_costs: Dict[tuple, Tuple[float, float, float, bool]] = {}
         self.last_estimated_cost: float = 0.0
         self.last_stats: Optional[StatsCatalog] = None
         # Absolute perf_counter() budgets for one plan() call; the DP
@@ -150,7 +155,8 @@ class CostBasedPlanner:
             query, series_list, num_series=self.num_series,
             segments_per_var=self.segments_per_var, seed=self.seed,
             use_index=self.sharing != "off",
-            deadline=deadline, planning_deadline=planning_deadline)
+            deadline=deadline, planning_deadline=planning_deadline,
+            vectorize=self.vectorize)
         self.last_stats = self._stats
         rng = np.random.default_rng(self.seed)
         index = int(rng.integers(0, len(series_list)))
@@ -160,6 +166,7 @@ class CostBasedPlanner:
             query, sharing="off" if self.sharing == "off" else "on")
         self._memo = {}
         self._bounds_cache = {}
+        self._leaf_costs = {}
         candidate = self._optimize(logical, float(self._n), float(self._n),
                                    frozenset())
         # Account for any filter applied at the very root.
@@ -256,7 +263,11 @@ class CostBasedPlanner:
 
     def _leaf_eval_costs(self, var: VarDef,
                          lse: float) -> Tuple[float, float, float, bool]:
-        """(direct per-row, index build, indexed per-row, indexable)."""
+        """(direct per-row, index build, indexed per-row, indexable),
+        memoised per ``(variable, ℓ_se)`` within one plan() call."""
+        key = (var.name, lse)
+        if key in self._leaf_costs:
+            return self._leaf_costs[key]
         params = self.params
         registry = self._query.registry
         avg_len = self._stats.avg_length(var.name)
@@ -276,7 +287,8 @@ class CostBasedPlanner:
                 indexed += params.f_lookup(agg, avg_len)
             else:
                 indexed += params.f_delta(agg, avg_len)
-        return direct, build, indexed, indexable
+        costs = self._leaf_costs[key] = (direct, build, indexed, indexable)
+        return costs
 
     def _optimize_leaf(self, node: LVar, ls: float, le: float,
                        available: FrozenSet[str]) -> Candidate:

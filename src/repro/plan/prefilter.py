@@ -244,9 +244,11 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
          "=": "=", "==": "==", "!=": "!=", "<>": "<>"}
 
 
-def _total_expr(expr: Optional[E.Expr]) -> bool:
+def _total_expr(expr: Optional[E.Expr], registry) -> bool:
     """Can every evaluation of ``expr`` over a float-column series
-    complete without raising?  (Columns are checked per series.)"""
+    complete without raising?  (Columns are checked per series.)
+    Aggregate names resolve through ``registry`` first, so an alias
+    (``linear_reg_r2_signed``) is as total as the name it spells."""
     if expr is None:
         return True
     for node in E.walk(expr):
@@ -257,7 +259,8 @@ def _total_expr(expr: Optional[E.Expr]) -> bool:
                                E.Between)):
             continue
         elif isinstance(node, E.AggCall):
-            if node.name not in TOTAL_AGGREGATES:
+            agg = registry.lookup(node.name)
+            if (agg.name if agg else node.name) not in TOTAL_AGGREGATES:
                 return False
         elif isinstance(node, E.Unary):
             if node.op not in ("-", "not"):
@@ -585,7 +588,7 @@ def extract_prefilter(query: Query, logical: LogicalNode) -> PrefilterPlan:
 
 def _extract(query: Query, logical: LogicalNode) -> PrefilterPlan:
     for var in query.variables.values():
-        if not _total_expr(var.condition):
+        if not _total_expr(var.condition, query.registry):
             return PrefilterPlan(
                 note=f"condition of {var.name!r} is not total")
     columns = set()

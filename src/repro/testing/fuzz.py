@@ -38,6 +38,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine
 from repro.errors import ExecutionError, TRexError
 from repro.lang.query import Query, compile_query
+from repro.optimizer.planner import CostBasedPlanner
 from repro.timeseries.series import Series
 
 MatchSet = Tuple[Tuple[int, int], ...]
@@ -615,6 +616,22 @@ def _deep_run(query: Query, series: Series,
         return ("raised", type(exc).__name__, str(exc)), None
 
 
+def _stats_snapshot(query: Query, series: Series,
+                    **options: object) -> object:
+    """The cost-based planner's sampled statistics over ``series``, bit
+    for bit (``float.hex``); a crash before sampling is the snapshot."""
+    planner = CostBasedPlanner(**options)
+    try:
+        planner.plan(query, None, [series])
+    except Exception as exc:  # crashes are findings too
+        if planner.last_stats is None:
+            return ("raised", type(exc).__name__, str(exc))
+    stats = planner.last_stats
+    return (stats.series_length, tuple(
+        (name, entry.selectivity.hex(), entry.avg_length.hex(),
+         entry.samples) for name, entry in stats.variables.items()))
+
+
 def vector_check(query: Query, query_text: str, tstamps: Sequence[float],
                  values: Sequence[float]) -> List[Discrepancy]:
     """Deep-diff scalar vs. vector execution of the same query.
@@ -624,14 +641,18 @@ def vector_check(query: Query, query_text: str, tstamps: Sequence[float],
     metrics (sans wall times), structured error records and degradation
     state — must be identical under both sharing policies, because the
     vector kernels promise byte-identical ``QueryResult`` contents, not
-    just equal match sets.
+    just equal match sets; and so must the planner's sampled statistics,
+    bit for bit, which the same kernels evaluate.
     """
     series = build_series(tstamps, values)
     found: List[Discrepancy] = []
     for sharing in ("on", "off"):
-        snaps = {vectorize: _deep_run(query, series, sharing=sharing,
-                                      vectorize=vectorize)[0]
-                 for vectorize in (False, True)}
+        snaps = {vectorize: {
+            "result": _deep_run(query, series, sharing=sharing,
+                                vectorize=vectorize)[0],
+            "stats": _stats_snapshot(query, series, sharing=sharing,
+                                     vectorize=vectorize)}
+            for vectorize in (False, True)}
         if snaps[False] != snaps[True]:
             found.append(Discrepancy(
                 "vector", f"sharing={sharing}", query_text,
@@ -711,12 +732,16 @@ def warm_check(query: Query, query_text: str, tstamps: Sequence[float],
     """The ``trex:warm`` side: the default configuration run twice on
     the *same* :class:`Series` object.
 
-    The first run builds the series' summary and aggregate indexes,
-    the second finds them resident; the whole snapshot must not move
-    (docs/PREFILTER.md, "Resident state").
+    The first run builds the series' summary, aggregate indexes and
+    the planner's drawn samples, the second finds them resident; the
+    whole snapshot must not move (docs/PREFILTER.md, "Resident state"),
+    and neither may the planner's statistics between a cold and a warm
+    sampling of one series.
     """
-    series = build_series(tstamps, values)
-    cold, warm = (_deep_run(query, series)[0] for _ in range(2))
+    series, sampled = (build_series(tstamps, values) for _ in range(2))
+    cold, warm = ({"result": _deep_run(query, series)[0],
+                   "stats": _stats_snapshot(query, sampled)}
+                  for _ in range(2))
     if cold == warm:
         return []
     return [Discrepancy("warm", "trex:warm", query_text, list(tstamps),

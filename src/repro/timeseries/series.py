@@ -26,6 +26,11 @@ from repro.errors import DataError
 #: (:meth:`Series.derived`); least recently used entries go first.
 DERIVED_BYTES_CAP = 32 << 20
 
+#: Charged per entry on top of its array bytes: the key, the entry and
+#: the Python objects around the arrays (a drawn sample measures ~1.4
+#: KiB of them), so many small entries are bounded like a few big ones.
+DERIVED_ENTRY_BYTES = 2 << 10
+
 
 def resident_bytes(value: object, _seen: Optional[Set[int]] = None) -> int:
     """Array bytes reachable from ``value`` (an index, a summary);
@@ -33,6 +38,8 @@ def resident_bytes(value: object, _seen: Optional[Set[int]] = None) -> int:
     be measured while another thread grows it by whole-row replacement."""
     if isinstance(value, np.ndarray):
         return value.nbytes
+    if value is None or isinstance(value, (int, float, str)):
+        return 0
     seen = set() if _seen is None else _seen
     if id(value) in seen:
         return 0
@@ -148,7 +155,7 @@ class Series:
         over the cap on its own is not kept."""
         with self._derived_lock:
             for entry in filter(None, map(self._derived.get, keys)):
-                size = resident_bytes(entry[0])
+                size = resident_bytes(entry[0]) + DERIVED_ENTRY_BYTES
                 self._derived_bytes += size - entry[1]
                 entry[1] = size
             while self._derived_bytes > DERIVED_BYTES_CAP and self._derived:

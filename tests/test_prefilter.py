@@ -89,6 +89,28 @@ class TestExtraction:
         assert not plan.eligible and not plan.active
         assert "not total" in plan.note
 
+    @pytest.mark.parametrize("name", ["v_shape", "head_shldr", "rebound",
+                                      "cld_wave", "cld_wave_alt",
+                                      "rptd_pttrn"])
+    def test_registry_aliases_are_total(self, name):
+        # These templates spell `linear_reg_r2_signed`, the registry's
+        # alias of `linear_regression_r2_signed`.
+        template = get_template(name)
+        query = template.compile(template.param_sets()[0])
+        assert "linear_reg_r2_signed" in template.text
+        plan = extract_prefilter(query, build_logical_plan(query))
+        assert plan.eligible, plan.note
+
+    def test_an_unregistered_total_name_is_not_total(self):
+        # Resolution goes through the query's own registry.
+        from repro.aggregates.registry import AggregateRegistry
+        from repro.plan.prefilter import _total_expr
+        condition = compile_query(
+            "ORDER BY tstamp\nPATTERN (A)\nDEFINE SEGMENT A AS "
+            "linear_reg_r2_signed(A.tstamp, A.val) > 0.5"
+        ).variables["A"].condition
+        assert not _total_expr(condition, AggregateRegistry())
+
     def test_cross_variable_condition_carries_no_atom(self):
         plan = extract("ORDER BY tstamp\nPATTERN (A B)\n"
                        "DEFINE SEGMENT A AS count(A.val) >= 1,\n"

@@ -314,6 +314,9 @@ def test_pickles_and_worker_payloads_do_not_grow(monkeypatch):
     kinds = {type(entry[0]).__name__ for series in series_list
              for entry in series._derived.values()}
     assert {"_MannKendallIndex", "_AvgIndex", "SeriesSummary"} <= kinds
+    # ... and the planner's drawn samples.
+    assert all(any(isinstance(key, tuple) and key[0] == "stats.sample"
+                   for key in series._derived) for series in series_list)
     assert [len(pickle.dumps(series)) for series in series_list] == before
     assert payload_sizes() == cold
     clone = pickle.loads(pickle.dumps(series_list[0]))
@@ -359,6 +362,7 @@ def test_the_store_is_bounded_and_eviction_is_invisible(monkeypatch):
     assert 0 < len(shared._derived) < 200          # evictions happened
     assert shared._derived_bytes == sum(
         series_module.resident_bytes(value)
+        + series_module.DERIVED_ENTRY_BYTES
         for value, _ in shared._derived.values())
     assert run([shared], mk) == run([make_series(values)], mk)
     assert shared._derived_bytes <= cap
