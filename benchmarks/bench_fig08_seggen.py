@@ -121,7 +121,7 @@ def test_fig8_vector_kernels_identical_and_faster(benchmark, series, cls,
     assert vector_out == scalar_out
     assert vector_stats == scalar_stats
     # Timing gate is deliberately loose (CI-scale series are small);
-    # the calibrated gate lives in `repro bench --vector`.
+    # trex_bench's scan_leaf workload measures the leaf end to end.
     assert vector_wall <= scalar_wall, \
         f"vector path slower: {vector_wall:.4f}s vs {scalar_wall:.4f}s"
     print(f"\nFig8 vector {cls.__name__}: "

@@ -11,8 +11,6 @@ Commands:
 * ``datasets`` — list the synthetic datasets and their shapes;
 * ``templates`` — list the paper's query templates;
 * ``profile`` — run the offline cost-parameter profiling (Tables 5 & 6);
-* ``bench``   — downscaled benchmark smoke run emitting a machine-readable
-  ``BENCH_*.json`` metrics artifact;
 * ``fuzz``    — grammar-level differential fuzzing campaign: seeded random
   queries and series run through every executor against the brute-force
   oracle, with metamorphic relations and delta-debugged reproducers
@@ -20,9 +18,9 @@ Commands:
 * ``serve``   — run the resilient multi-tenant query service (admission
   control, load shedding, retry/backoff, circuit breaker, graceful
   drain — docs/SERVICE.md);
-* ``loadgen`` — drive a service with a concurrent mixed-template
-  workload (optionally fault-injected) and emit a
-  ``BENCH_service_load.json`` latency/error report.
+* ``loadgen`` — self-host a service, drive it with a concurrent
+  mixed-template workload (optionally fault-injected) and emit a
+  ``CHAOS_service_load.json`` error-family report.
 
 A run interrupted with Ctrl-C settles what the active ``--on-error``
 policy allows (``partial`` keeps every match found so far), prints the
@@ -94,7 +92,7 @@ def _add_engine_flags(parser, skip=()) -> None:
         if meta["flag"] is None or spec.name in skip:
             continue
         # Namespaced so a field can never collide with a command's own
-        # argument (explain --analyze, bench --workers, ...).
+        # argument (explain --analyze, ...).
         kwargs = {"dest": "engine_" + spec.name, "default": None,
                   "help": meta["help"]}
         if meta["kind"] is bool:
@@ -313,75 +311,6 @@ def cmd_templates(_args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.vector:
-        import json
-
-        from repro.bench.runner import run_bench_vector
-        path = run_bench_vector(args.out, length=max(args.length, 2000))
-        print(f"wrote {path}")
-        with open(path) as handle:
-            legs = json.load(handle)["legs"]
-        failed = False
-        for name, leg in sorted(legs.items()):
-            speedup = leg["speedup"]
-            # Full-space fig08 legs must clear the gate; on narrowed
-            # spaces the default side must merely not lose.  It runs the
-            # same scalar evaluator there except at 8 candidates, a tie,
-            # and reads 0.92x on the reference box (docs/VECTORIZATION.md);
-            # paying the batch set-up on every probe reads 0.6x.
-            gate = 0.0
-            if args.min_speedup and name.startswith("fig08"):
-                gate = 0.85 if name == "fig08_small_space" \
-                    else args.min_speedup
-            status = ""
-            if gate and speedup < gate:
-                status = f"  REGRESSION (< {gate:.1f}x gate)"
-                failed = True
-            print(f"{name:18s} {speedup:6.1f}x  "
-                  f"scalar={min(leg['scalar_wall_seconds']):.3f}s "
-                  f"vector={min(leg['vector_wall_seconds']):.3f}s"
-                  f"{status}")
-        return 1 if failed else 0
-    if args.prefilter:
-        import json
-
-        from repro.bench.runner import run_bench_prefilter
-        path = run_bench_prefilter(
-            args.out, num_series=max(args.series, 32),
-            length=max(args.length, 256))
-        print(f"wrote {path}")
-        with open(path) as handle:
-            data = json.load(handle)
-        speedup = data["speedup"]
-        pf = data["prefilter"]
-        print(f"prefilter {speedup:6.1f}x  "
-              f"off={min(data['off_wall_seconds']):.3f}s "
-              f"on={min(data['on_wall_seconds']):.3f}s  "
-              f"skipped={pf['series_skipped']}/{pf['series_examined']} "
-              f"coverage={pf['coverage']:.3f}")
-        if args.min_speedup and speedup < args.min_speedup:
-            print(f"REGRESSION: prefilter speedup {speedup:.1f}x below "
-                  f"{args.min_speedup:.1f}x gate")
-            return 1
-        return 0
-    if args.parallel:
-        from repro.bench.runner import run_bench_parallel
-        path = run_bench_parallel(
-            args.out, template_name=args.template,
-            num_series=max(args.series, 8), length=args.length,
-            workers=args.bench_workers)
-        print(f"wrote {path}")
-        return 0
-    from repro.bench.runner import run_bench_smoke
-    path = run_bench_smoke(args.out, template_name=args.template,
-                           num_series=args.series, length=args.length,
-                           instances=args.instances,
-                           timeout_seconds=args.timeout)
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_profile(args) -> int:
     from repro.optimizer.profiler import profile_aggregates, profile_operators
     sizes = tuple(int(s) for s in args.sizes.split(","))
@@ -446,6 +375,14 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type for a deadline: a number of seconds above zero."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return seconds
+
+
 def _parse_dataset_specs(entries):
     """``name[:series[:length]]`` entries → ServiceConfig datasets."""
     specs = []
@@ -493,47 +430,30 @@ def cmd_serve(args) -> int:
 def cmd_loadgen(args) -> int:
     import os
 
-    from repro.service import (LoadgenConfig, check_report, run_load,
-                               run_self_hosted)
+    from repro.service import LoadgenConfig, check_report, run_self_hosted
 
     config = LoadgenConfig(
         clients=args.clients, requests_per_client=args.requests,
         templates=tuple(args.templates.split(",")),
         tenants=tuple(args.tenants.split(",")),
-        timeout_seconds=args.timeout or 10.0, on_error=args.on_error,
-        seed=args.seed, think_seconds=args.think)
-    if args.url:
-        from urllib.parse import urlparse
-        parsed = urlparse(args.url if "//" in args.url
-                          else f"http://{args.url}")
-        config.host = parsed.hostname or "127.0.0.1"
-        config.port = parsed.port or 8080
-        report = run_load(config)
-    else:
-        report = run_self_hosted(config, faults=args.faults)
+        timeout_seconds=args.timeout, on_error=args.on_error,
+        seed=args.seed)
+    report = run_self_hosted(config, faults=args.faults)
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "BENCH_service_load.json")
+    out_path = os.path.join(args.out, "CHAOS_service_load.json")
     with open(out_path, "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
-    latency = report.latency or {}
     print(f"{report.requests} requests, {report.ok} ok, "
           f"shed rate {report.shed_rate:.1%}, "
           f"{report.retried_requests} retried "
-          f"({report.total_attempts} attempts), "
-          f"{report.throughput_rps:.1f} req/s")
-    if latency:
-        print(f"latency p50={latency['p50_seconds'] * 1e3:.1f}ms "
-              f"p95={latency['p95_seconds'] * 1e3:.1f}ms "
-              f"p99={latency['p99_seconds'] * 1e3:.1f}ms")
+          f"({report.total_attempts} attempts)")
     for family, count in sorted(report.errors_by_family.items()):
         if family != "ok":
             print(f"  {family}: {count}")
     print(f"wrote {out_path}")
     if args.check:
-        problems = check_report(report,
-                                expect_retries=args.expect_retries,
-                                max_shed_rate=args.max_shed_rate)
+        problems = check_report(report, expect_retries=args.expect_retries)
         for problem in problems:
             print(f"check failed: {problem}", file=sys.stderr)
         if problems:
@@ -616,34 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="200,400")
     p.set_defaults(fn=cmd_profile)
 
-    b = sub.add_parser("bench", help="benchmark smoke run; writes a "
-                                     "BENCH_*.json metrics artifact")
-    b.add_argument("--out", default="bench-artifacts",
-                   help="directory for the artifact")
-    b.add_argument("--template", default="v_shape")
-    b.add_argument("--series", type=int, default=3)
-    b.add_argument("--length", type=int, default=60)
-    b.add_argument("--instances", type=int, default=1,
-                   help="parameter sets to run (prefix of the grid)")
-    b.add_argument("--timeout", type=float, default=30.0,
-                   help="per-strategy timeout in seconds")
-    b.add_argument("--parallel", action="store_true",
-                   help="run the serial-vs-parallel speedup benchmark "
-                        "instead of the optimizer smoke run")
-    b.add_argument("--workers", dest="bench_workers", type=int, default=4,
-                   help="worker count for --parallel")
-    b.add_argument("--vector", action="store_true",
-                   help="run the scalar-vs-vector leaf kernel benchmark "
-                        "(docs/VECTORIZATION.md) instead of the smoke run")
-    b.add_argument("--prefilter", action="store_true",
-                   help="run the prefilter on-vs-off speedup benchmark "
-                        "(docs/PREFILTER.md) instead of the smoke run")
-    b.add_argument("--min-speedup", type=float, default=5.0,
-                   help="fail (exit 1) when a fig08 leg of --vector or "
-                        "the --prefilter speedup falls below this; "
-                        "0 disables the gate")
-    b.set_defaults(fn=cmd_bench)
-
     f = sub.add_parser("fuzz", help="differential fuzzing campaign: random "
                                     "queries x random series through every "
                                     "executor against the brute-force "
@@ -661,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--corpus-dir", default=None, metavar="DIR",
                    help="write minimized reproducers to DIR as replayable "
                         "JSON (e.g. tests/corpus)")
-    f.add_argument("--out", default="bench-artifacts",
+    f.add_argument("--out", default="fuzz-artifacts",
                    help="directory for the FUZZ_summary artifact")
     f.add_argument("--progress", action="store_true",
                    help="print progress to stderr every 25 queries")
@@ -688,13 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(s, skip=("max_segments",))
     s.set_defaults(fn=cmd_serve)
 
-    lg = sub.add_parser("loadgen", help="drive a query service with a "
-                                        "concurrent (optionally fault-"
-                                        "injected) workload; writes "
-                                        "BENCH_service_load.json")
-    lg.add_argument("--url", default=None,
-                    help="target service (host:port); default self-hosts "
-                         "a fresh service for the run")
+    lg = sub.add_parser("loadgen", help="self-host a query service and "
+                                        "drive it with a concurrent "
+                                        "(optionally fault-injected) "
+                                        "workload; writes "
+                                        "CHAOS_service_load.json")
     lg.add_argument("--clients", type=int, default=8,
                     help="concurrent keep-alive clients")
     lg.add_argument("--requests", type=int, default=25,
@@ -705,27 +595,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated template mix")
     lg.add_argument("--tenants", default="alpha,beta",
                     help="comma-separated tenant names (round-robin)")
-    lg.add_argument("--timeout", type=float, default=None,
+    lg.add_argument("--timeout", type=_positive_seconds, default=10.0,
                     metavar="SECONDS", help="per-request deadline")
     lg.add_argument("--on-error", default="partial",
                     choices=["raise", "skip", "partial"])
     lg.add_argument("--seed", type=int, default=0,
                     help="workload seed (template choice + retry jitter)")
-    lg.add_argument("--think", type=float, default=0.0, metavar="SECONDS",
-                    help="per-client pause between requests")
     lg.add_argument("--faults", default=None, metavar="SPEC",
-                    help="self-hosting only: TREX_FAULTS value for the "
-                         "run, e.g. 'service.worker:worker@3*2'")
-    lg.add_argument("--out", default="bench-artifacts",
-                    help="directory for BENCH_service_load.json")
+                    help="TREX_FAULTS value for the run, e.g. "
+                         "'service.worker:worker@3*2'")
+    lg.add_argument("--out", default="chaos-artifacts",
+                    help="directory for CHAOS_service_load.json")
     lg.add_argument("--check", action="store_true",
                     help="gate the run: fail on non-structured errors, "
                          "unbalanced counters or zero successes")
     lg.add_argument("--expect-retries", action="store_true",
                     help="with --check: require at least one retried "
                          "request (fault-injection runs)")
-    lg.add_argument("--max-shed-rate", type=float, default=1.0,
-                    help="with --check: maximum acceptable shed rate")
     lg.set_defaults(fn=cmd_loadgen)
     return parser
 

@@ -68,10 +68,6 @@ class Candidate:
     provides_publish: FrozenSet[str]
     build: Callable[[], BuildResult]
 
-    @property
-    def total_cost(self) -> float:
-        return self.cost
-
 
 class CostBasedPlanner:
     """Dynamic-programming plan search with the Table 1 cost model."""
@@ -177,11 +173,6 @@ class CostBasedPlanner:
                 candidate.provides_publish, candidate.build)
         self.last_estimated_cost = candidate.cost
         return candidate
-
-    def estimate_plan_cost(self, query: Query, logical: LogicalNode,
-                           series_list: Sequence[Series]) -> float:
-        """Estimated cost of the best plan (used by the NDCG experiment)."""
-        return self.optimize(query, logical, series_list).cost
 
     # -- shared helpers -------------------------------------------------------
 

@@ -2,29 +2,27 @@
 
 Runs ``clients`` concurrent keep-alive connections, each issuing a
 deterministic (seeded) stream of template queries across tenants, and
-reports latency percentiles, shed rate and a structured error-family
-breakdown.  Point it at a live service with ``url=``, or let it
-self-host a :class:`~repro.service.harness.BackgroundService` — the CI
-``service-chaos`` job uses self-hosting with ``TREX_FAULTS`` set, so
-the whole resilience stack (admission, shedding, retry, breaker,
-drain) is exercised in one process.
+reports shed rate, retries and a structured error-family breakdown.
+:func:`run_self_hosted` self-hosts a
+:class:`~repro.service.harness.BackgroundService`, optionally with
+``TREX_FAULTS`` set, so the whole resilience stack (admission,
+shedding, retry, breaker, drain) is exercised in one process.
+Latency and throughput are trex_bench's job (its ``serve_closed``
+workload), not this harness's.
 
-The report (``BENCH_service_load.json``) is also a gate:
-:func:`check_report` enforces the ISSUE acceptance bounds — every
-failure is a *structured* error family, the books balance
-(``requests == completed + failed``), and under fault injection
-retried transients actually settle.
+The report (``CHAOS_service_load.json``) is a gate:
+:func:`check_report` checks that every failure is a *structured* error
+family, the books balance (``requests == completed + failed``), and
+under fault injection retried transients actually settle.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exec.metrics import percentile
 from repro.service.http import HttpClient
 
 #: Default template mix — only templates whose datasets the default
@@ -48,25 +46,20 @@ class LoadgenConfig:
     on_error: str = "partial"
     limit: Optional[int] = 200
     seed: int = 0
-    #: Seconds to sleep between a client's requests (0 = closed loop).
-    think_seconds: float = 0.0
 
 
 @dataclass
 class _Observation:
     """One request/response pair as the client saw it."""
 
-    status: int
-    latency_seconds: float
     family: str  # "ok", an error kind, or "unstructured"
     attempts: int = 1
     retried: bool = False
-    total_matches: Optional[int] = None
 
 
 @dataclass
 class LoadReport:
-    """Aggregated run outcome (serialized to BENCH_service_load.json)."""
+    """Aggregated run outcome (serialized to CHAOS_service_load.json)."""
 
     config: dict
     requests: int
@@ -77,15 +70,11 @@ class LoadReport:
     shed_rate: float
     retried_requests: int
     total_attempts: int
-    latency: Dict[str, float]
-    wall_seconds: float
-    throughput_rps: float
     stats: Optional[dict] = None
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
-            "benchmark": "service_load",
             "config": self.config,
             "requests": self.requests,
             "ok": self.ok,
@@ -96,10 +85,6 @@ class LoadReport:
             "shed_rate": round(self.shed_rate, 4),
             "retried_requests": self.retried_requests,
             "total_attempts": self.total_attempts,
-            "latency": {name: round(value, 6)
-                        for name, value in self.latency.items()},
-            "wall_seconds": round(self.wall_seconds, 3),
-            "throughput_rps": round(self.throughput_rps, 2),
             "stats": self.stats,
             "notes": self.notes,
         }
@@ -131,38 +116,29 @@ async def _client_loop(config: LoadgenConfig, index: int,
             }
             if config.limit is not None:
                 payload["limit"] = config.limit
-            t0 = time.perf_counter()
             try:
                 status, body, _headers = await client.request(
                     "POST", "/query", payload)
             except (ConnectionError, asyncio.IncompleteReadError,
                     OSError) as exc:
                 observations.append(_Observation(
-                    status=0, latency_seconds=time.perf_counter() - t0,
-                    family=f"transport:{type(exc).__name__}"))
+                    f"transport:{type(exc).__name__}"))
                 continue
-            latency = time.perf_counter() - t0
             meta = body.get("meta") or {}
             observations.append(_Observation(
-                status=status, latency_seconds=latency,
-                family=_classify(status, body),
+                _classify(status, body),
                 attempts=int(meta.get("attempts", 1)),
-                retried=bool(meta.get("retried", False)),
-                total_matches=body.get("total_matches")))
-            if config.think_seconds:
-                await asyncio.sleep(config.think_seconds)
+                retried=bool(meta.get("retried", False))))
     finally:
         await client.close()
 
 
 async def _run_async(config: LoadgenConfig) \
-        -> Tuple[List[_Observation], float, Optional[dict]]:
+        -> Tuple[List[_Observation], Optional[dict]]:
     observations: List[_Observation] = []
-    t0 = time.perf_counter()
     await asyncio.gather(*(
         _client_loop(config, index, observations)
         for index in range(config.clients)))
-    wall = time.perf_counter() - t0
     stats_client = HttpClient(config.host, config.port)
     try:
         _status, stats, _headers = await stats_client.request(
@@ -171,13 +147,12 @@ async def _run_async(config: LoadgenConfig) \
         stats = None
     finally:
         await stats_client.close()
-    return observations, wall, stats
+    return observations, stats
 
 
 def run_load(config: LoadgenConfig) -> LoadReport:
     """Run the workload against a live service and aggregate."""
-    observations, wall, stats = asyncio.run(_run_async(config))
-    latencies = sorted(o.latency_seconds for o in observations)
+    observations, stats = asyncio.run(_run_async(config))
     families: Dict[str, int] = {}
     for obs in observations:
         families[obs.family] = families.get(obs.family, 0) + 1
@@ -187,14 +162,6 @@ def run_load(config: LoadgenConfig) -> LoadReport:
                        or family.startswith("transport:"))
     shed = families.get("overload", 0) + families.get("service", 0)
     requests = len(observations)
-    latency = {}
-    if latencies:
-        latency = {
-            "mean_seconds": sum(latencies) / len(latencies),
-            "p50_seconds": percentile(latencies, 50.0),
-            "p95_seconds": percentile(latencies, 95.0),
-            "p99_seconds": percentile(latencies, 99.0),
-        }
     return LoadReport(
         config={
             "clients": config.clients,
@@ -214,9 +181,6 @@ def run_load(config: LoadgenConfig) -> LoadReport:
         shed_rate=(shed / requests) if requests else 0.0,
         retried_requests=sum(1 for o in observations if o.retried),
         total_attempts=sum(o.attempts for o in observations),
-        latency=latency,
-        wall_seconds=wall,
-        throughput_rps=(requests / wall) if wall > 0 else 0.0,
         stats=stats,
     )
 
@@ -265,8 +229,7 @@ def run_self_hosted(config: LoadgenConfig, service_config=None,
 
 
 def check_report(report: LoadReport,
-                 expect_retries: bool = False,
-                 max_shed_rate: float = 1.0) -> List[str]:
+                 expect_retries: bool = False) -> List[str]:
     """The CI gate: empty list means the run is acceptable."""
     problems: List[str] = []
     if report.requests == 0:
@@ -277,9 +240,6 @@ def check_report(report: LoadReport,
                         f"an error family)")
     if report.ok == 0:
         problems.append("no request succeeded")
-    if report.shed_rate > max_shed_rate:
-        problems.append(f"shed rate {report.shed_rate:.2%} exceeds "
-                        f"{max_shed_rate:.2%}")
     if expect_retries and report.retried_requests == 0 \
             and report.total_attempts <= report.requests:
         problems.append("fault injection was on but no request was "

@@ -8,6 +8,17 @@ import pytest
 from repro.timeseries.series import Series
 from repro.timeseries.table import Table
 
+try:
+    from hypothesis import settings
+except ImportError:  # CI's chaos jobs install only numpy and pytest
+    pass
+else:
+    # Every property suite draws the same examples on every run: a
+    # failure is a reproducible bug, never a flake.
+    settings.register_profile("derandomized", derandomize=True,
+                              database=None)
+    settings.load_profile("derandomized")
+
 
 @pytest.fixture
 def rng():

@@ -151,7 +151,7 @@ messy = hnp.arrays(
 
 @pytest.mark.parametrize("agg", INDEXED, ids=lambda a: a.name)
 @given(values=messy)
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_lookup_batch_property(agg, values):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -161,7 +161,7 @@ def test_lookup_batch_property(agg, values):
 
 @pytest.mark.parametrize("agg", DIRECT, ids=lambda a: a.name)
 @given(values=messy, context=st.integers(min_value=2, max_value=60))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_batch_kernel_property(agg, values, context):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -86,97 +86,6 @@ class TestExecutorComparison:
         assert speedups["trex"] > 0
 
 
-class TestBenchArtifacts:
-    def test_json_safe_replaces_inf(self):
-        from repro.bench.runner import _json_safe
-        data = _json_safe({"times": {"a": math.inf, "b": 1.0},
-                           "rows": [math.nan, 2]})
-        assert data == {"times": {"a": None, "b": 1.0},
-                        "rows": [None, 2]}
-
-    def test_write_bench_artifact(self, tmp_path):
-        import json
-
-        from repro.bench.runner import write_bench_artifact
-        path = write_bench_artifact(
-            str(tmp_path), "unit", {"x": math.inf, "y": [1, 2]})
-        assert path.endswith("BENCH_unit.json")
-        with open(path) as handle:
-            assert json.load(handle) == {"x": None, "y": [1, 2]}
-
-    def test_run_bench_smoke_emits_artifact(self, tmp_path):
-        import json
-
-        from repro.bench.runner import run_bench_smoke
-        path = run_bench_smoke(str(tmp_path), num_series=2, length=50)
-        assert path.endswith("BENCH_smoke_v_shape.json")
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["benchmark"] == "smoke"
-        assert data["comparisons"][0]["times"]["optimizer"] is not None
-        analyze = data["analyze"]
-        assert analyze["operators"], "per-operator metrics missing"
-        assert "plan" in analyze
-        assert "SegGen" in data["plan_analyze"]
-
-    def test_run_bench_prefilter_emits_artifact(self, tmp_path):
-        import json
-
-        from repro.bench.runner import run_bench_prefilter
-        path = run_bench_prefilter(str(tmp_path), num_series=24,
-                                   length=256, repeats=2)
-        assert path.endswith("BENCH_prefilter.json")
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["benchmark"] == "prefilter"
-        assert data["dataset"] == "many_series"
-        assert data["num_series"] == 24
-        assert len(data["off_wall_seconds"]) == 2
-        assert len(data["on_wall_seconds"]) == 2
-        assert data["speedup"] > 0
-        assert data["total_matches"] > 0
-        report = data["prefilter"]
-        assert report["series_skipped"] > 0
-        assert report["series_examined"] == 24
-
-    def test_run_bench_parallel_many_series_template(self, tmp_path):
-        import json
-
-        from repro.bench.runner import run_bench_parallel
-        path = run_bench_parallel(str(tmp_path),
-                                  template_name="many_series",
-                                  num_series=8, length=64, workers=2,
-                                  repeats=1)
-        assert path.endswith("BENCH_parallel_many_series.json")
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["dataset"] == "many_series"
-        assert data["speedup"] > 0
-
-    def test_run_bench_parallel_emits_artifact(self, tmp_path):
-        import json
-        import os
-
-        from repro.bench.runner import run_bench_parallel
-        path = run_bench_parallel(str(tmp_path), num_series=8, length=60,
-                                  workers=2, repeats=2)
-        assert path.endswith("BENCH_parallel_v_shape.json")
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["benchmark"] == "parallel"
-        assert data["executor"] == "process"
-        assert data["workers"] == 2
-        assert data["num_series"] == 8
-        assert data["cpu_count"] == os.cpu_count()
-        assert len(data["serial_wall_seconds"]) == 2
-        assert len(data["parallel_wall_seconds"]) == 2
-        assert data["speedup"] > 0
-        # A genuine speedup is only physically possible with spare
-        # cores; single-core runners record the honest ratio instead.
-        if (os.cpu_count() or 1) >= 4:
-            assert data["speedup"] > 1.0
-
-
 class TestFormatting:
     def test_format_table_alignment(self):
         text = format_table(["name", "value"],

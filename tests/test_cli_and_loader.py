@@ -1,9 +1,12 @@
 """CLI and CSV loader tests."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets.loader import load_csv, save_csv
 from repro.errors import DataError
 
@@ -147,13 +150,6 @@ class TestCLI:
             main(["explain", "--json", "--dataset", "sp500",
                   "--template", "v_shape"])
 
-    def test_bench_command(self, tmp_path, capsys):
-        code = main(["bench", "--out", str(tmp_path),
-                     "--series", "2", "--length", "50"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "BENCH_smoke_v_shape.json" in out
-
     def test_error_reported_not_raised(self, capsys):
         code = main(["query", "--dataset", "sp500",
                      "--query", "PATTERN (((", "--series", "2",
@@ -170,3 +166,32 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["query", "--dataset", "sp500", "--template", "v_shape",
                   "--param", "oops"])
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: ``python -m repro <sub>``, ``repro <sub>`` and the subprocess form
+#: ``"-m", "repro", "<sub>"``; ``from repro import ...`` is not a command.
+_INVOCATION = re.compile(
+    r'''(?:(?<!from )\brepro\s+|"-m",\s*"repro",\s*")([a-z][\w-]*)''')
+
+
+def test_documented_commands_exist():
+    """Every command the docs, CI and tools spell out is a real one."""
+    sub = next(action for action in build_parser()._actions
+               if action.dest == "command")
+    files = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md")),
+             REPO / ".github" / "workflows" / "ci.yml",
+             *sorted((REPO / "tools").glob("*.py")),
+             REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    stale = []
+    for path in files:
+        if not path.exists():
+            continue
+        text = path.read_text()
+        for match in _INVOCATION.finditer(text):
+            if match.group(1) not in sub.choices:
+                line = text.count("\n", 0, match.start()) + 1
+                stale.append(f"{path.relative_to(REPO)}:{line}: "
+                             f"{match.group(0)!r}")
+    assert not stale, "unknown repro subcommands:\n" + "\n".join(stale)

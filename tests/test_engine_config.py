@@ -210,6 +210,16 @@ class TestServeDrift:
         assert self.serve().engine.timeout_seconds == 10.0
         assert self.serve("--timeout", "2.5").engine.timeout_seconds == 2.5
 
+    def test_loadgen_timeout_zero_is_rejected_not_ten_seconds(self, capsys):
+        def timeout(*argv):
+            return build_parser().parse_args(["loadgen", *argv]).timeout
+        for bad in ("0", "-1", "nan"):
+            with pytest.raises(SystemExit):
+                timeout("--timeout", bad)
+            assert "--timeout" in capsys.readouterr().err
+        assert timeout() == 10.0
+        assert timeout("--timeout", "2.5") == 2.5
+
     def test_service_pins_serial_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("TREX_EXECUTOR", "process")
         assert EngineConfig().executor == "process"   # repro query

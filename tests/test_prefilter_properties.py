@@ -43,7 +43,7 @@ messy_values = hnp.arrays(
 class TestBlockBoundsBracketExtremes:
     @given(values=messy_values,
            block_size=st.sampled_from([1, 3, 16, 64]))
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None)
     # hi - lo overflows to inf although both ends are finite: the symbols
     # used to come out as int64-min and index the edge table out of range.
     @example(values=np.array([-sys.float_info.max, 9.98e291]), block_size=1)
@@ -62,7 +62,7 @@ class TestBlockBoundsBracketExtremes:
                         allow_nan=False),
            width=st.floats(min_value=0.0, max_value=1e12,
                            allow_nan=False))
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None)
     def test_excluded_blocks_have_no_witness(self, values, lo, width):
         hi = lo + width
         col = build_summary(make_series(values), 16).column("val")
@@ -89,7 +89,7 @@ class TestPrunedRegionsContainNoMatch:
         shape=st.integers(min_value=2, max_value=260),
         elements=st.floats(min_value=-100.0, max_value=300.0,
                            allow_nan=False)))
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None)
     def test_no_false_dismissal(self, values):
         series = [make_series(values)]
         off = TRexEngine(prefilter=False).execute_query(QUERY, series)
@@ -105,7 +105,7 @@ class TestPrunedRegionsContainNoMatch:
             st.just(float("nan")),
             st.floats(min_value=-100.0, max_value=300.0,
                       allow_nan=False))))
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_no_false_dismissal_with_nans(self, values):
         series = [make_series(values)]
         off = TRexEngine(prefilter=False).execute_query(QUERY, series)

@@ -110,7 +110,7 @@ def test_nth_execution_equals_a_fresh_table(name, build_calls):
     assert build_calls == cold
 
 
-@settings(derandomize=True, max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(st.lists(st.sampled_from(range(len(SP500))), min_size=3, max_size=7)
        .filter(lambda order: len(set(order)) >= 3))
 def test_interleaved_queries_over_one_table(order):

@@ -118,7 +118,7 @@ class TestFoldedPointBounds:
                               st.sampled_from([None, 0, 1, 2.5, 5, 40])),
                     max_size=3),
            st.integers(1, 24))
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     def test_ranges_are_exactly_the_accepted_positions(self, bounds, n):
         window = conj(*(WindowSpec.point(lo, hi) for lo, hi in bounds
                         if hi is None or lo <= hi))

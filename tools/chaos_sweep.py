@@ -85,7 +85,7 @@ def run_service_case(out_dir: str, fault: str, extra_args):
          "--out", out_dir] + list(extra_args),
         capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
     report = None
-    report_path = os.path.join(out_dir, "BENCH_service_load.json")
+    report_path = os.path.join(out_dir, "CHAOS_service_load.json")
     if os.path.exists(report_path):
         with open(report_path) as fh:
             report = json.load(fh)
@@ -97,7 +97,7 @@ def check_service_case(name: str, proc, report) -> list:
     if proc.returncode != 0:
         reasons.append(f"exit code {proc.returncode}, expected 0")
     if report is None:
-        reasons.append("no BENCH_service_load.json written")
+        reasons.append("no CHAOS_service_load.json written")
         return reasons
     if report.get("unstructured_errors"):
         reasons.append(f"{report['unstructured_errors']} non-structured "
