@@ -3,7 +3,8 @@
 An ``And`` joins segments with *identical* positions; the search space is
 passed to children unchanged.  Probe variants collapse the probed child's
 space to the exact segment produced by the other child — the paper's key
-pruning device for conjunctions (e.g. DIFF pruning DOWN).
+pruning device for conjunctions (e.g. DIFF pruning DOWN) — and hand all
+of the driving child's exact spaces to the probed child in one call.
 
 An ``Or`` unions both children's emissions; no probe variant exists.
 
@@ -75,11 +76,17 @@ class _ProbeAnd(_Binary):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        seen = set()
+        jobs = []
+        charge = ctx.segment_budget is not None
         for anchor in driver.eval(ctx, sp, refs):
             ctx.tick()
-            found = self.probe(ctx, probed, SearchSpace.exact(
-                anchor.start, anchor.end), refs, anchor)
+            if charge:
+                ctx.charge()
+            jobs.append((SearchSpace.exact(anchor.start, anchor.end), anchor))
+        seen = set()
+        for (_, anchor), found in zip(jobs, self.probe_all(
+                ctx, probed, jobs, refs)):
+            ctx.tick()
             # The exact probe pins the bounds but not this operator's
             # own window, which the driver never saw.
             if not found or not self.window.accepts(

@@ -305,6 +305,17 @@ class PhysicalOperator(ABC):
              refs: Env) -> Iterator[Segment]:
         """Yield matching segments within ``sp`` given referenced segments."""
 
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        """What :meth:`eval` yields for each of ``spaces``, in order.
+
+        The probe operators hand all their probe spaces to a child in one
+        call (:meth:`probe_all`).  Leaves override this to enumerate and
+        evaluate every space's candidates together; the answer, counters
+        included, is always the per-space ``eval`` one.
+        """
+        return [list(self.eval(ctx, sp, refs)) for sp in spaces]
+
     def children(self) -> Tuple["PhysicalOperator", ...]:
         return ()
 
@@ -373,23 +384,44 @@ class PhysicalOperator(ABC):
             ctx.stats["segments_emitted"] += 1
             yield Segment(start, end, dict(key))
 
-    def probe(self, ctx: ExecContext, child: "PhysicalOperator",
-              space: SearchSpace, refs: Env, anchor: Segment) -> List[Segment]:
-        """``child``'s matches in ``space`` given ``anchor``'s bindings,
-        memoized per (space, needed refs) on the context."""
-        child_refs = dict(refs)
-        child_refs.update(anchor.payload)
-        key = (child.op_id, space, refs_key(child_refs, child.requires))
-        found = ctx.probe_cache_get(key)
-        if found is None:
+    def probe_all(self, ctx: ExecContext, child: "PhysicalOperator",
+                  jobs: Sequence[Tuple[SearchSpace, Segment]],
+                  refs: Env) -> List[List[Segment]]:
+        """``child``'s matches for every ``(space, anchor)`` job, given
+        the anchor's bindings, memoized per (space, needed refs) on the
+        context.
+
+        Set-at-a-time: the misses are grouped by their needed-refs
+        projection and each group is answered by one
+        :meth:`eval_spaces` call.  A job is a miss when its key is
+        neither memoized nor held by an earlier job of this call, so the
+        hit/miss counts are those of probing the jobs one by one.
+        """
+        keys: List[tuple] = []
+        misses: Dict[tuple, Tuple[Env, Dict[SearchSpace, tuple]]] = {}
+        for space, anchor in jobs:
+            ctx.tick()
+            child_refs = {**refs, **anchor.payload}
+            needed = refs_key(child_refs, child.requires)
+            key = (child.op_id, space, needed)
+            keys.append(key)
+            group = misses.get(needed)
+            if (group is not None and space in group[1]) \
+                    or ctx.probe_cache_get(key) is not None:
+                ctx.stats["probe_cache_hits"] += 1
+                ctx.count(self, "probe_cache_hits")
+                continue
             ctx.stats["probe_calls"] += 1
             ctx.count(self, "probe_cache_misses")
-            found = list(child.eval(ctx, space, child_refs))
-            ctx.probe_cache_put(key, found)
-        else:
-            ctx.stats["probe_cache_hits"] += 1
-            ctx.count(self, "probe_cache_hits")
-        return found
+            if group is None:
+                group = misses[needed] = (child_refs, {})
+            group[1][space] = key
+        for child_refs, pending in misses.values():
+            answers = child.eval_spaces(ctx, list(pending), child_refs)
+            for key, found in zip(pending.values(), answers):
+                ctx.tick()
+                ctx.probe_cache_put(key, found)
+        return [ctx.probe_cache_get(key) for key in keys]
 
     # trex: no-tick(EXPLAIN rendering is bounded by plan size)
     def explain(self, indent: int = 0) -> str:

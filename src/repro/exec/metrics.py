@@ -5,14 +5,17 @@ timing shim (:func:`instrument_plan`) and collects one :class:`OpMetrics`
 record per operator on the :class:`~repro.exec.base.ExecContext`, keyed by
 ``op_id``:
 
-* ``eval_calls`` — how many times the operator's ``eval`` was entered
-  (probed operators are entered once per cache miss);
+* ``eval_calls`` — how many times the operator's ``eval`` or
+  ``eval_spaces`` was entered (a probe operator answers all its misses
+  in one ``eval_spaces`` call per needed-refs group, which counts once);
 * ``segments_out`` — segments the operator emitted;
 * ``segments_in`` — segments pulled from children (derived at
   :meth:`RunMetrics.finalize` as the sum of the children's emissions);
-* ``sum_ls``/``sum_le``/``max_ls``/``max_le`` — the incoming search-space
-  range sizes ℓ_s and ℓ_e (Table 1's cardinality inputs), so the measured
-  reality can be compared against the cost model's assumptions;
+* ``spaces`` — search spaces answered (one per ``eval``, one per space
+  of an ``eval_spaces`` call), and ``sum_ls``/``sum_le``/``max_ls``/
+  ``max_le`` over them — the incoming range sizes ℓ_s and ℓ_e (Table 1's
+  cardinality inputs), so the measured reality can be compared against
+  the cost model's assumptions;
 * ``time_seconds`` — cumulative wall time spent inside the operator's
   iterator, children included; ``self_seconds`` subtracts the children;
 * ``counters`` — operator-reported events (probe-cache hits/misses,
@@ -39,10 +42,11 @@ import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.plan.search_space import SearchSpace
+from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -52,11 +56,13 @@ class OpMetrics:
 
     op_id: int
     label: str
+    #: Entries into ``eval`` or ``eval_spaces`` (one per coalesced call).
     eval_calls: int = 0
     segments_out: int = 0
     #: Derived: sum of direct children's ``segments_out`` (finalize()).
     segments_in: int = 0
-    #: Incoming search-space range sizes, summed over eval calls.
+    #: Search spaces answered, and their range sizes summed over them.
+    spaces: int = 0
     sum_ls: int = 0
     sum_le: int = 0
     max_ls: int = 0
@@ -75,6 +81,7 @@ class OpMetrics:
 
     def observe_space(self, sp: SearchSpace) -> None:
         ls, le = sp.start_range_size, sp.end_range_size
+        self.spaces += 1
         self.sum_ls += ls
         self.sum_le += le
         self.max_ls = max(self.max_ls, ls)
@@ -82,16 +89,17 @@ class OpMetrics:
 
     @property
     def avg_ls(self) -> float:
-        return self.sum_ls / self.eval_calls if self.eval_calls else 0.0
+        return self.sum_ls / self.spaces if self.spaces else 0.0
 
     @property
     def avg_le(self) -> float:
-        return self.sum_le / self.eval_calls if self.eval_calls else 0.0
+        return self.sum_le / self.spaces if self.spaces else 0.0
 
     def merge(self, other: "OpMetrics") -> None:
         self.eval_calls += other.eval_calls
         self.segments_out += other.segments_out
         self.segments_in += other.segments_in
+        self.spaces += other.spaces
         self.sum_ls += other.sum_ls
         self.sum_le += other.sum_le
         self.max_ls = max(self.max_ls, other.max_ls)
@@ -109,6 +117,7 @@ class OpMetrics:
         parts = [f"time={self.time_seconds * 1e3:.3f}ms",
                  f"self={self.self_seconds * 1e3:.3f}ms",
                  f"evals={self.eval_calls}",
+                 f"spaces={self.spaces}",
                  f"in={self.segments_in}",
                  f"out={self.segments_out}",
                  f"ls_avg={self.avg_ls:.1f}",
@@ -132,6 +141,7 @@ class OpMetrics:
             "time_seconds": self.time_seconds,
             "self_seconds": self.self_seconds,
             "search_space": {
+                "spaces": self.spaces,
                 "sum_ls": self.sum_ls, "sum_le": self.sum_le,
                 "max_ls": self.max_ls, "max_le": self.max_le,
                 "avg_ls": self.avg_ls, "avg_le": self.avg_le,
@@ -238,7 +248,8 @@ _CHILD_ATTRS = ("child", "left", "right")
 
 
 def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
-    """Shallow-copy ``plan`` wrapping every ``eval`` with metric capture.
+    """Shallow-copy ``plan`` wrapping every ``eval`` — and every
+    ``eval_spaces`` an operator overrides — with metric capture.
 
     The copies share all immutable state (windows, conditions, ``op_id``)
     with the original nodes, so metrics recorded while running the
@@ -282,6 +293,28 @@ def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
 
     # Instance attribute shadows the class method for ``clone`` only.
     clone.eval = analyzed_eval  # type: ignore[method-assign]
+    inner_spaces = type(plan).eval_spaces
+    if inner_spaces is PhysicalOperator.eval_spaces:
+        return clone  # the default answers each space through ``eval``
+
+    def analyzed_eval_spaces(ctx: ExecContext, spaces: Sequence[SearchSpace],
+                             refs: Env) -> List[List[Segment]]:
+        metrics = ctx.metrics
+        if metrics is None or _faults.ENABLED:
+            # Armed faults route every space through (analyzed) ``eval``.
+            return inner_spaces(clone, ctx, spaces, refs)
+        record = metrics.for_op(clone)
+        record.eval_calls += 1
+        # trex: no-tick(one record update per space the caller enumerated)
+        for sp in spaces:
+            record.observe_space(sp)
+        t0 = time.perf_counter()
+        found = inner_spaces(clone, ctx, spaces, refs)
+        record.time_seconds += time.perf_counter() - t0
+        record.segments_out += sum(map(len, found))
+        return found
+
+    clone.eval_spaces = analyzed_eval_spaces  # type: ignore[method-assign]
     return clone
 
 

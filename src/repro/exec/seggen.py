@@ -11,12 +11,15 @@
 Both condition leaves enumerate their candidates once
 (:func:`repro.exec.vector.candidate_runs`) and evaluate them with the
 batch kernels or the scalar loop, chosen per call from the candidate
-count (:func:`repro.exec.vector.try_eval`, docs/VECTORIZATION.md).
+count (:func:`repro.exec.vector.try_eval`, docs/VECTORIZATION.md).  A
+probe operator's spaces arrive together through ``eval_spaces``, where
+the choice is made on the call's total
+(:func:`repro.exec.vector.eval_spaces`).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exec import vector
 from repro.exec.base import Env, ExecContext, PhysicalOperator
@@ -24,6 +27,7 @@ from repro.lang import expr as E
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
+from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -55,6 +59,34 @@ class SegGenWindow(PhysicalOperator):
                 yield Segment(start, end, {payload_name: (start, end)})
             else:
                 yield Segment(start, end)
+
+    # trex: no-charge(the probe memo charges every answered space)
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        if _faults.ENABLED:
+            return super().eval_spaces(ctx, spaces, refs)
+        payload_name = self.var_name if self.var_name in self.publish else None
+        n = len(ctx.series)
+        out: List[List[Segment]] = []
+        for sp in spaces:
+            found: List[Segment] = []
+            out.append(found)
+            sp = sp.clamp(n)
+            if sp.is_empty():
+                continue
+            for start, end in self.window.iterate_box(
+                    ctx.series, sp.s_lo, sp.s_hi, sp.e_lo, sp.e_hi):
+                ctx.tick()
+                found.append(
+                    Segment(start, end, {payload_name: (start, end)})
+                    if payload_name is not None else Segment(start, end))
+        emitted = sum(map(len, out))
+        if emitted:
+            ctx.stats["segments_emitted"] += emitted
+            if ctx.metrics is not None:
+                ctx.metrics.for_op(self).counters["segments_emitted"] += \
+                    emitted
+        return out
 
     def describe(self) -> str:
         label = f"({self.var_name})" if self.var_name else ""
@@ -94,9 +126,31 @@ class _ConditionLeaf(PhysicalOperator):
         batched = vector.try_eval(self, ctx, sp, refs, record,
                                   self.vector_provider)
         if batched is None:
+            self.note_scalar(ctx, record)
             batched = self.scalar(ctx, vector.pairs(
                 *vector.candidate_runs(self, ctx, sp)), refs, record)
         yield from batched
+
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        if _faults.ENABLED:
+            # Fault points live in the scalar call graph: one eval each.
+            return super().eval_spaces(ctx, spaces, refs)
+        self.check_refs(refs)
+        metrics = ctx.metrics
+        return vector.eval_spaces(
+            self, ctx, spaces, refs,
+            metrics.for_op(self) if metrics is not None else None,
+            self.vector_provider)
+
+    def note_scalar(self, ctx: ExecContext, record) -> None:
+        """Count one call taking the scalar evaluator, and the static
+        reason (if any) the condition has no batch form."""
+        if record is not None:
+            record.scalar_calls += 1
+            if record.fallback is None:
+                record.fallback = vector.compile_condition(
+                    self.var, self.vector_provider, ctx.registry)[1]
 
     def scalar(self, ctx: ExecContext, candidates: Iterable[Tuple[int, int]],
                refs: Env, record) -> Iterator[Segment]:
@@ -105,11 +159,6 @@ class _ConditionLeaf(PhysicalOperator):
         var = self.var
         provider = self._provider(ctx)
         publish_self = var.name in self.publish
-        if record is not None:
-            record.scalar_calls += 1
-            if record.fallback is None:
-                record.fallback = vector.compile_condition(
-                    var, self.vector_provider, ctx.registry)[1]
         for start, end in candidates:
             ctx.tick()
             ectx = E.EvalContext(ctx.series, start, end, variable=var.name,

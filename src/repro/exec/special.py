@@ -8,10 +8,11 @@ paper's SubPattern operator.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Sequence
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator, refs_key
 from repro.plan.search_space import SearchSpace
+from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -35,10 +36,31 @@ class SubPatternCache(PhysicalOperator):
     #: more than it saves.
     MIN_CELLS_TO_CACHE = 64
 
+    def _streams(self, sp: SearchSpace) -> bool:
+        return sp.start_range_size * sp.end_range_size \
+            <= self.MIN_CELLS_TO_CACHE
+
     def eval(self, ctx: ExecContext, sp: SearchSpace,
              refs: Env) -> Iterator[Segment]:
-        if sp.start_range_size * sp.end_range_size <= self.MIN_CELLS_TO_CACHE:
+        if self._streams(sp):
             return self.child.eval(ctx, sp, refs)
+        return iter(self._cached(ctx, sp, refs))
+
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        """The small spaces go to the child in one call, uncached; each
+        large one is served from (or materialized into) the cache."""
+        if _faults.ENABLED:
+            return super().eval_spaces(ctx, spaces, refs)
+        small = [at for at, sp in enumerate(spaces) if self._streams(sp)]
+        streamed = dict(zip(small, self.child.eval_spaces(
+            ctx, [spaces[at] for at in small], refs)))
+        return [streamed[at] if at in streamed
+                else self._cached(ctx, sp, refs)
+                for at, sp in enumerate(spaces)]
+
+    def _cached(self, ctx: ExecContext, sp: SearchSpace,
+                refs: Env) -> List[Segment]:
         key = ("subpattern", self.cache_key, sp,
                refs_key(refs, self.requires))
         cached = ctx.probe_cache_get(key)
@@ -50,7 +72,7 @@ class SubPatternCache(PhysicalOperator):
         else:
             ctx.stats["subpattern_cache_hits"] += 1
             ctx.count(self, "subpattern_cache_hits")
-        return iter(cached)
+        return cached
 
     def describe(self) -> str:
         return f"{self.name}({self.cache_key[:12]})"

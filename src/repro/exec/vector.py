@@ -39,7 +39,9 @@ batch of at most :data:`BATCH_SIZE` candidates.
 
 Both evaluators are fed by one enumerator, :func:`candidate_runs`, and
 :func:`try_eval` picks between them per call from the number of
-admissible candidates (:data:`BATCH_CROSSOVER`).
+admissible candidates (:data:`BATCH_CROSSOVER`).  :func:`eval_spaces`
+answers a probe operator's whole set of probe spaces in one call and
+picks on the coalesced total.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -616,36 +618,78 @@ def pairs(order: int, runs: Iterable[Run]) -> Iterator[Tuple[int, int]]:
                 yield point, point
 
 
-# trex: no-charge(buffers candidate index runs, not retained segments)
-def _batches(ctx: "ExecContext", order: int, runs: Iterable[Run]
-             ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Expand runs into ``(starts, ends)`` batches, ticked per batch."""
-    runs = iter(runs)
-    while True:
-        block: List[Run] = []
-        pending = 0
-        # trex: no-tick(buffered candidates tick per batch, below)
+#: One search space's candidates inside a coalesced call: ``(owner,
+#: order, runs)``, where ``owner`` is the space's position in the call
+#: and ``(order, runs)`` is what :func:`candidate_runs` returned for it.
+Part = Tuple[int, int, Iterable[Run]]
+
+
+def _batches(ctx: "ExecContext", parts: Iterable[Part]
+             ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Expand owner-tagged runs into ``(owners, starts, ends)`` batches,
+    ticked per batch, in part order and each part's run order."""
+    for block, spans, pending in _blocks(parts):
+        owners, starts, ends = _expand(block, spans, pending)
+        for at in range(0, pending, BATCH_SIZE):
+            ctx.tick_batch(min(BATCH_SIZE, pending - at))
+            cut = slice(at, at + BATCH_SIZE)
+            yield owners[cut], starts[cut], ends[cut]
+
+
+# trex: no-tick(buffered candidates tick per batch, in _batches)
+def _blocks(parts: Iterable[Part]) -> Iterator[
+        Tuple[List[Run], List[Tuple[int, int, int]], int]]:
+    """Cut the parts' runs into blocks of at least :data:`BATCH_SIZE`
+    candidates (the last one excepted): ``(runs, spans, candidates)``,
+    where ``spans`` says which parts the runs came from, as ``(owner,
+    order, number of runs)`` each."""
+    block: List[Run] = []
+    spans: List[Tuple[int, int, int]] = []
+    pending = 0
+    for owner, order, runs in parts:
+        first = len(block)
         for run in runs:
             block.append(run)
             pending += run[2] - run[1] + 1
             if pending >= BATCH_SIZE:
-                break
-        if not block:
-            return
-        if len(block) == 1:  # a probe: no per-run bookkeeping arrays
-            flat = np.arange(block[0][1], block[0][2] + 1, dtype=np.int64)
-            fixed = np.empty(pending, dtype=np.int64)
-            fixed.fill(block[0][0])
-        else:
-            drive, lo, hi = np.array(block, dtype=np.int64).T
-            counts = hi - lo + 1
-            flat = (np.arange(pending, dtype=np.int64)
-                    + np.repeat(lo - (np.cumsum(counts) - counts), counts))
-            fixed = np.repeat(drive, counts)
+                spans.append((owner, order, len(block) - first))
+                yield block, spans, pending
+                block, spans, pending, first = [], [], 0, 0
+        if len(block) > first:
+            spans.append((owner, order, len(block) - first))
+    if block:
+        yield block, spans, pending
+
+
+def _expand(block: List[Run], spans: List[Tuple[int, int, int]],
+            pending: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's ``(owners, starts, ends)`` candidate arrays."""
+    if len(block) == 1:  # one probe: no per-run bookkeeping arrays
+        drive, lo, hi = block[0]
+        flat = np.arange(lo, hi + 1, dtype=np.int64)
+        fixed = np.full(pending, drive, dtype=np.int64)
+    else:
+        drive, lo, hi = np.array(block, dtype=np.int64).T
+        counts = hi - lo + 1
+        flat = (np.arange(pending, dtype=np.int64)
+                + np.repeat(lo - (np.cumsum(counts) - counts), counts))
+        fixed = np.repeat(drive, counts)
+    if len(spans) == 1:
+        owner, order, _ = spans[0]
         starts, ends = ((fixed, flat), (flat, fixed), (flat, flat))[order]
-        for at in range(0, pending, BATCH_SIZE):
-            ctx.tick_batch(min(BATCH_SIZE, pending - at))
-            yield starts[at:at + BATCH_SIZE], ends[at:at + BATCH_SIZE]
+        # np.zeros is ~4x cheaper than np.full here, and a one-space call
+        # (owner 0, every try_eval) never adds.
+        owners = np.zeros(pending, dtype=np.int64)
+        if owner:
+            owners += owner
+    else:
+        owner, order, runs = np.array(spans, dtype=np.int64).T
+        owners = np.repeat(np.repeat(owner, runs), counts)
+        # Parts may differ in order (a LeftProbeConcat's spaces do).
+        order = np.repeat(np.repeat(order, runs), counts)
+        starts = np.where(order == BY_START, fixed, flat)
+        ends = np.where(order == BY_END, fixed, flat)
+    return owners, starts, ends
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +776,7 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
     than :data:`BATCH_CROSSOVER` candidates are admissible — a function
     of ``sp`` and the window alone, so every executor decides alike.
     """
-    if not ctx.vectorize or _faults.ENABLED:
-        return None
-    bound = ctx.vector_binds.get(op.op_id, False)
-    if bound is False:
-        bound = ctx.vector_binds[op.op_id] = _bind(
-            op.var, op.window, ctx.series, ctx.registry, provider_kind)
+    bound = _leaf_bind(op, ctx, provider_kind)
     if bound is None:
         return None
     order, runs = candidate_runs(op, ctx, sp)
@@ -750,14 +789,93 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
         if pending >= BATCH_CROSSOVER:
             break
     else:
+        op.note_scalar(ctx, record)
         return op.scalar(ctx, pairs(order, head), refs, record)
     if record is not None:
         record.batch_calls += 1
     payload_name = op.var.name if op.var.name in op.publish else None
     return itertools.chain.from_iterable(
         _eval_batch(ctx, record, bound, payload_name, starts, ends, refs)
-        for starts, ends in _batches(ctx, order,
-                                     itertools.chain(head, runs)))
+        for _, starts, ends in _batches(
+            ctx, [(0, order, itertools.chain(head, runs))]))
+
+
+def _leaf_bind(op: "PhysicalOperator", ctx: "ExecContext",
+               provider_kind: str) -> Optional[_Bound]:
+    """The leaf's bind on this series (made once per context), or
+    ``None`` when its calls run scalar: the vectorize hook is off, fault
+    injection is armed, or the condition or series does not bind."""
+    if not ctx.vectorize or _faults.ENABLED:
+        return None
+    bound = ctx.vector_binds.get(op.op_id, False)
+    if bound is False:
+        bound = ctx.vector_binds[op.op_id] = _bind(
+            op.var, op.window, ctx.series, ctx.registry, provider_kind)
+    return bound
+
+
+# trex: no-charge(the caller's probe memo charges every answered space)
+def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
+                spaces: Sequence["SearchSpace"], refs: "Env", record,
+                provider_kind: str) -> List[List[Segment]]:
+    """A condition leaf's answer for each of ``spaces``, in one call.
+
+    ``found[i]`` is what ``op.eval(ctx, spaces[i], refs)`` yields, in
+    its order, and the counters move as those evals would move them.
+    The spaces' candidate runs are concatenated into owner-tagged
+    batches (``owner`` = the space's position), the evaluator is picked
+    from the coalesced total against :data:`BATCH_CROSSOVER` — so many
+    one-candidate probes reach the batch kernels together — and the hits
+    are split back per owner.  The call is materialized, never abandoned,
+    so counters are flushed once per batch.
+    """
+    n = len(ctx.series)
+    parts: List[Tuple[int, int, List[Run]]] = []
+    total = 0
+    for owner, sp in enumerate(spaces):
+        ctx.tick()
+        sp = sp.clamp(n)
+        if sp.is_empty():
+            continue
+        order, runs = candidate_runs(op, ctx, sp)
+        runs = list(runs)
+        total += sum(hi - lo + 1 for _, lo, hi in runs)
+        parts.append((owner, order, runs))
+    found: List[List[Segment]] = [[] for _ in spaces]
+    bound = _leaf_bind(op, ctx, provider_kind) \
+        if total >= BATCH_CROSSOVER else None
+    if bound is None:
+        op.note_scalar(ctx, record)
+        for owner, order, runs in parts:
+            found[owner] = list(op.scalar(ctx, pairs(order, runs), refs,
+                                          record))
+        return found
+    if record is not None:
+        record.batch_calls += 1
+    payload_name = op.var.name if op.var.name in op.publish else None
+    stats = ctx.stats
+    for owners, starts, ends in _batches(ctx, parts):
+        state, matched = _evaluate(ctx, bound, starts, ends, refs)
+        hits = matched.nonzero()[0]
+        flushes = {"condition_evals": len(starts),
+                   "segments_emitted": len(hits),
+                   **{name: int(delta.sum())
+                      for name, delta in state.deltas.items()}}
+        # An untouched counter stays absent, as it does under eval.
+        stats.update({name: value for name, value in flushes.items()
+                      if value})
+        if record is not None:
+            record.counters["condition_evals"] += len(starts)
+            if len(hits):
+                record.counters["segments_emitted"] += len(hits)
+        for owner, start, end in zip(owners[hits].tolist(),
+                                     starts[hits].tolist(),
+                                     ends[hits].tolist()):
+            ctx.tick()
+            found[owner].append(
+                Segment(start, end, {payload_name: (start, end)})
+                if payload_name is not None else Segment(start, end))
+    return found
 
 
 # trex: no-tick(the planner's sampler checks its deadlines per batch)

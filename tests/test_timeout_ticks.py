@@ -44,8 +44,10 @@ class _StaticOp(PhysicalOperator):
     def __init__(self, bounds=SEGMENTS):
         super().__init__(WILD)
         self._bounds = bounds
+        self.entered = 0
 
     def eval(self, ctx, sp, refs):
+        self.entered += 1
         for start, end in self._bounds:
             if sp.contains(start, end):
                 yield Segment(start, end)
@@ -156,3 +158,58 @@ def test_deadline_fires_inside_dense_join(family):
         for _ in DENSE_FAMILIES[family]().eval(ctx, full, {}):
             yielded += 1
     assert total // 2 <= yielded + 1 and yielded < total
+
+
+PROBE_FAMILIES = ("RightProbeConcat", "LeftProbeConcat", "RightProbeAnd",
+                  "LeftProbeAnd")
+
+#: A clock check this many ticks in lands inside the drain of a dense
+#: driving child: each probe family's yields well over this many anchors.
+IN_DRAIN = 100
+
+
+def probed_child(op):
+    """The child a probe operator probes (the other one drives)."""
+    return op.right if op.name.startswith("Right") else op.left
+
+
+@pytest.mark.parametrize("family", PROBE_FAMILIES)
+def test_deadline_fires_inside_the_probe_drain(family):
+    """A probe operator drains its driving child before it probes: each
+    retained anchor ticks, so a deadline can stop the drain itself,
+    before the probed child is ever entered."""
+    series = make_series(np.zeros(DENSE_N))
+    op = DENSE_FAMILIES[family]()
+    ctx = ExecContext(series, deadline=time.perf_counter() - 1.0)
+    ctx.TICK_STRIDE = IN_DRAIN
+    with pytest.raises(QueryTimeout):
+        next(op.eval(ctx, SearchSpace.full(DENSE_N), {}))
+    assert probed_child(op).entered == 0
+
+
+@pytest.mark.parametrize("on_error", ["raise", "partial"])
+def test_deadline_inside_the_drain_under_each_policy(on_error, monkeypatch):
+    """Through the engine: the drain's timeout raises under ``raise`` and
+    settles to an interrupted, empty, shape-preserving result under
+    ``partial``."""
+    from repro.core.engine import TRexEngine
+    from repro.lang.query import compile_query
+
+    series = make_series(np.zeros(DENSE_N))
+    plan = DENSE_FAMILIES["RightProbeAnd"]()
+    engine = TRexEngine(executor="serial", prefilter=False,
+                        timeout_seconds=1e-9, on_error=on_error)
+    monkeypatch.setattr(engine, "build_plan", lambda *args, **kw: plan)
+    monkeypatch.setattr(ExecContext, "TICK_STRIDE", IN_DRAIN)
+    query = compile_query("ORDER BY tstamp\nPATTERN A\n"
+                          "DEFINE SEGMENT A AS window(1, 8)")
+    if on_error == "raise":
+        with pytest.raises(QueryTimeout):
+            engine.execute_query(query, [series])
+    else:
+        result = engine.execute_query(query, [series])
+        assert result.interrupted
+        assert result.degradation.startswith("timeout")
+        assert result.total_matches == 0
+        assert len(result.per_series) == 1
+    assert plan.right.entered == 0
