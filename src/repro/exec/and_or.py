@@ -76,17 +76,10 @@ class _ProbeAnd(_Binary):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        jobs = []
-        charge = ctx.segment_budget is not None
-        for anchor in driver.eval(ctx, sp, refs):
-            ctx.tick()
-            if charge:
-                ctx.charge()
-            jobs.append((SearchSpace.exact(anchor.start, anchor.end), anchor))
+        jobs = ((SearchSpace.exact(anchor.start, anchor.end), anchor)
+                for anchor in driver.eval(ctx, sp, refs))
         seen = set()
-        for (_, anchor), found in zip(jobs, self.probe_all(
-                ctx, probed, jobs, refs)):
-            ctx.tick()
+        for anchor, found in self.probe_each(ctx, sp, probed, jobs, refs):
             # The exact probe pins the bounds but not this operator's
             # own window, which the driver never saw.
             if not found or not self.window.accepts(

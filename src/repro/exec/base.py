@@ -312,7 +312,9 @@ class PhysicalOperator(ABC):
         The probe operators hand all their probe spaces to a child in one
         call (:meth:`probe_all`).  Leaves override this to enumerate and
         evaluate every space's candidates together; the answer, counters
-        included, is always the per-space ``eval`` one.
+        included, is always the per-space ``eval`` one.  With a fault
+        armed, :meth:`probe_all` calls this default instead of the
+        override: fault points live in the per-space call graph.
         """
         return [list(self.eval(ctx, sp, refs)) for sp in spaces]
 
@@ -416,12 +418,44 @@ class PhysicalOperator(ABC):
             if group is None:
                 group = misses[needed] = (child_refs, {})
             group[1][space] = key
+        # Armed, every space goes through the child's own ``eval``.
+        answer = functools.partial(PhysicalOperator.eval_spaces, child) \
+            if _faults.ENABLED else child.eval_spaces
         for child_refs, pending in misses.values():
-            answers = child.eval_spaces(ctx, list(pending), child_refs)
-            for key, found in zip(pending.values(), answers):
+            for key, found in zip(pending.values(), answer(
+                    ctx, list(pending), child_refs)):
                 ctx.tick()
                 ctx.probe_cache_put(key, found)
         return [ctx.probe_cache_get(key) for key in keys]
+
+    def probe_each(self, ctx: ExecContext, sp: SearchSpace,
+                   child: "PhysicalOperator",
+                   jobs: Iterable[Tuple[SearchSpace, Segment]],
+                   refs: Env) -> Iterator[Tuple[Segment, List[Segment]]]:
+        """``(anchor, child's matches)`` for every ``(space, anchor)``
+        job, in job order: the probe operators' probe loop.
+
+        The jobs are drained first, each anchor charged because it is
+        retained, and answered by one :meth:`probe_all`.  Under an exact
+        ``sp`` the consumer may be an existence test (``ProbeNot`` stops
+        at the first match), so each job is probed as it arrives and no
+        anchor past the first match is drawn, probed or charged.
+        """
+        if sp.s_lo == sp.s_hi and sp.e_lo == sp.e_hi:
+            for job in jobs:
+                yield job[1], self.probe_all(ctx, child, [job], refs)[0]
+            return
+        drained = []
+        charge = ctx.segment_budget is not None
+        for job in jobs:
+            ctx.tick()
+            if charge:
+                ctx.charge()
+            drained.append(job)
+        for (_, anchor), found in zip(drained, self.probe_all(
+                ctx, child, drained, refs)):
+            ctx.tick()
+            yield anchor, found
 
     # trex: no-tick(EXPLAIN rendering is bounded by plan size)
     def explain(self, indent: int = 0) -> str:

@@ -11,7 +11,7 @@ classic disjoint point-variable join.
   additionally tightened by the embedded window anchored at the known
   segment end/start, which is where search-space pruning pays off.  They
   drain the driving child first and probe with all its spaces in one
-  call (:meth:`~repro.exec.base.PhysicalOperator.probe_all`);
+  call (:meth:`~repro.exec.base.PhysicalOperator.probe_each`);
 * :class:`WildWindowConcat` (WConcat) fuses the ``X W Y`` chain around a
   window-only padding variable, pairing X and Y directly without
   materializing the padding segments.
@@ -93,23 +93,20 @@ class RightProbeConcat(_BinaryConcat):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        jobs = []
-        charge = ctx.segment_budget is not None
-        for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
-            ctx.tick()
-            # The result spans [left.start, e]: tighten the probed end
-            # range with the embedded window anchored at left.start.
-            e_lo, e_hi = self.window.end_range(ctx.series, left.start)
-            probe = SearchSpace(left.end + self.gap, left.end + self.gap,
-                                max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
-            if not probe.is_empty():
-                if charge:
-                    ctx.charge()
-                jobs.append((probe, left))
+        def jobs():
+            for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
+                ctx.tick()
+                # The result spans [left.start, e]: tighten the probed end
+                # range with the embedded window anchored at left.start.
+                e_lo, e_hi = self.window.end_range(ctx.series, left.start)
+                probe = SearchSpace(left.end + self.gap, left.end + self.gap,
+                                    max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
+                if not probe.is_empty():
+                    yield probe, left
+
         seen = set()
-        for (_, left), rights in zip(jobs, self.probe_all(
-                ctx, self.right, jobs, refs)):
-            ctx.tick()
+        for left, rights in self.probe_each(ctx, sp, self.right, jobs(),
+                                            refs):
             if rights:
                 lkey = projected_key(left, self.publish)
                 yield from self.emit_fresh(ctx, seen, {
@@ -129,22 +126,20 @@ class LeftProbeConcat(_BinaryConcat):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        jobs = []
-        charge = ctx.segment_budget is not None
-        for right in self.right.eval(ctx, sp.concat_right(self.gap), refs):
-            ctx.tick()
-            s_lo, s_hi = self.window.start_range(ctx.series, right.end)
-            probe = SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
-                                right.start - self.gap,
-                                right.start - self.gap)
-            if not probe.is_empty():
-                if charge:
-                    ctx.charge()
-                jobs.append((probe, right))
+        def jobs():
+            for right in self.right.eval(ctx, sp.concat_right(self.gap),
+                                         refs):
+                ctx.tick()
+                s_lo, s_hi = self.window.start_range(ctx.series, right.end)
+                probe = SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
+                                    right.start - self.gap,
+                                    right.start - self.gap)
+                if not probe.is_empty():
+                    yield probe, right
+
         seen = set()
-        for (_, right), lefts in zip(jobs, self.probe_all(
-                ctx, self.left, jobs, refs)):
-            ctx.tick()
+        for right, lefts in self.probe_each(ctx, sp, self.left, jobs(),
+                                            refs):
             if lefts:
                 rkey = projected_key(right, self.publish)
                 yield from self.emit_fresh(ctx, seen, {

@@ -46,7 +46,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.plan.search_space import SearchSpace
-from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -300,8 +299,7 @@ def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
     def analyzed_eval_spaces(ctx: ExecContext, spaces: Sequence[SearchSpace],
                              refs: Env) -> List[List[Segment]]:
         metrics = ctx.metrics
-        if metrics is None or _faults.ENABLED:
-            # Armed faults route every space through (analyzed) ``eval``.
+        if metrics is None:
             return inner_spaces(clone, ctx, spaces, refs)
         record = metrics.for_op(clone)
         record.eval_calls += 1

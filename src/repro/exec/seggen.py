@@ -27,7 +27,6 @@ from repro.lang import expr as E
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
-from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -59,34 +58,6 @@ class SegGenWindow(PhysicalOperator):
                 yield Segment(start, end, {payload_name: (start, end)})
             else:
                 yield Segment(start, end)
-
-    # trex: no-charge(the probe memo charges every answered space)
-    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
-                    refs: Env) -> List[List[Segment]]:
-        if _faults.ENABLED:
-            return super().eval_spaces(ctx, spaces, refs)
-        payload_name = self.var_name if self.var_name in self.publish else None
-        n = len(ctx.series)
-        out: List[List[Segment]] = []
-        for sp in spaces:
-            found: List[Segment] = []
-            out.append(found)
-            sp = sp.clamp(n)
-            if sp.is_empty():
-                continue
-            for start, end in self.window.iterate_box(
-                    ctx.series, sp.s_lo, sp.s_hi, sp.e_lo, sp.e_hi):
-                ctx.tick()
-                found.append(
-                    Segment(start, end, {payload_name: (start, end)})
-                    if payload_name is not None else Segment(start, end))
-        emitted = sum(map(len, out))
-        if emitted:
-            ctx.stats["segments_emitted"] += emitted
-            if ctx.metrics is not None:
-                ctx.metrics.for_op(self).counters["segments_emitted"] += \
-                    emitted
-        return out
 
     def describe(self) -> str:
         label = f"({self.var_name})" if self.var_name else ""
@@ -133,9 +104,6 @@ class _ConditionLeaf(PhysicalOperator):
 
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
                     refs: Env) -> List[List[Segment]]:
-        if _faults.ENABLED:
-            # Fault points live in the scalar call graph: one eval each.
-            return super().eval_spaces(ctx, spaces, refs)
         self.check_refs(refs)
         metrics = ctx.metrics
         return vector.eval_spaces(

@@ -12,7 +12,6 @@ from typing import Iterator, List, Sequence
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator, refs_key
 from repro.plan.search_space import SearchSpace
-from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
 
 
@@ -50,8 +49,6 @@ class SubPatternCache(PhysicalOperator):
                     refs: Env) -> List[List[Segment]]:
         """The small spaces go to the child in one call, uncached; each
         large one is served from (or materialized into) the cache."""
-        if _faults.ENABLED:
-            return super().eval_spaces(ctx, spaces, refs)
         small = [at for at, sp in enumerate(spaces) if self._streams(sp)]
         streamed = dict(zip(small, self.child.eval_spaces(
             ctx, [spaces[at] for at in small], refs)))

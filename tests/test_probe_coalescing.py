@@ -3,8 +3,8 @@
 A probe operator drains its driving child and hands every probe space to
 the probed child in one ``eval_spaces`` call
 (``PhysicalOperator.probe_all``).
-The contract under test, for each leaf that overrides ``eval_spaces`` and
-on every template variable: ``op.eval_spaces(ctx, spaces, refs)`` equals
+The contract under test, for each leaf kind and on every template
+variable: ``op.eval_spaces(ctx, spaces, refs)`` equals
 ``[list(op.eval(ctx, sp, refs)) for sp in spaces]`` — segments, payloads,
 order, ``ctx.stats`` and per-operator counters — under either evaluator
 and on either side of ``BATCH_CROSSOVER`` (docs/VECTORIZATION.md,
@@ -16,16 +16,23 @@ import pytest
 
 from repro.datasets import load
 from repro.exec import vector
+from repro.errors import ResourceBudgetExceeded
+from repro.exec.and_or import LeftProbeAnd, RightProbeAnd
 from repro.exec.base import ExecContext
-from repro.exec.concat import RightProbeConcat
+from repro.exec.concat import LeftProbeConcat, RightProbeConcat
 from repro.exec.metrics import RunMetrics, instrument_plan
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
+from repro.exec.not_op import ProbeNot
 from repro.exec.special import SubPatternCache
-from repro.lang.windows import WindowConjunction
+from repro.lang.parser import parse_condition
+from repro.lang.query import VarDef
+from repro.lang.windows import WindowConjunction, WindowSpec
 from repro.plan.search_space import SearchSpace
 from repro.queries.templates import ALL_TEMPLATES
 from repro.testing import faults
 from repro.timeseries.segment import Segment
+
+from tests.conftest import make_series
 
 LENGTH = 60
 
@@ -34,7 +41,7 @@ CASES = [(template, name) for template in ALL_TEMPLATES
 
 
 def leaves(var, publish):
-    """Every leaf that overrides ``eval_spaces``, over one variable."""
+    """Every leaf kind a probe operator probes, over one variable."""
     window = var.window_conjunction
     keep = frozenset({var.name}) if publish else frozenset()
     return {
@@ -146,16 +153,32 @@ def test_one_candidate_probes_reach_the_batch_kernels():
     assert strategies == [(0, 20), (1, 0)]
 
 
+def probed(host, child, series, jobs):
+    metrics = RunMetrics()
+    ctx = ExecContext(series, metrics=metrics)
+    found = host.probe_all(ctx, child, jobs, {})
+    return ([[(seg.bounds, seg.payload) for seg in segments]
+             for segments in found],
+            sorted(ctx.stats.items()), metrics.ops[child.op_id])
+
+
 def test_faults_armed_answer_each_space_through_eval():
     """Fault points live in the scalar call graph: with any fault armed,
-    every space fires the leaf's own ``exec.<Op>.eval`` point."""
+    ``probe_all`` answers every missed space through the leaf's own
+    ``exec.<Op>.eval`` point — the same answer, and EXPLAIN ANALYZE sees
+    one ``eval`` per space."""
     op, series = rising_leaf()
-    spaces = [SearchSpace.exact(s, s + 6) for s in range(5)]
-    want = answer(op, series, spaces, {}, True, False)
+    leaf = instrument_plan(op)
+    host = RightProbeConcat(SegGenWindow(WindowConjunction.wild()), leaf,
+                            0, WindowConjunction.wild())
+    jobs = [(SearchSpace.exact(s, s + 6), Segment(0, s)) for s in range(5)]
+    found, stats, record = probed(host, leaf, series, jobs)
+    assert record.eval_calls == 1
     with faults.inject("exec.SegGenFilter.eval", times=0) as spec:
-        got = answer(op, series, spaces, {}, True, True)
-    assert spec.hits == len(spaces)
-    assert got == want
+        armed = probed(host, leaf, series, jobs)
+    assert spec.hits == len(jobs)
+    assert armed[:2] == (found, stats)
+    assert armed[2].eval_calls == armed[2].spaces == len(jobs)
 
 
 def test_shim_counts_one_entry_per_coalesced_call():
@@ -233,3 +256,58 @@ def test_probe_all_answers_each_distinct_space_once():
     again = host.probe_all(ctx, child, [(spaces[1], Segment(0, 1))], {})
     assert len(child.calls) == 1 and again == [first[1]]
     assert ctx.stats["probe_cache_hits"] == 3
+
+
+
+def probe_not_plans():
+    """``ProbeNot`` over each probe family."""
+    def var(name, condition):
+        return VarDef(name, True, (), parse_condition(condition), frozenset())
+
+    def window(lo, hi):
+        return WindowConjunction([WindowSpec.point(lo, hi)])
+
+    up = SegGenFilter(var("UP", "last(UP.val) > first(UP.val)"), window(1, 6))
+    dn = SegGenFilter(var("DN", "last(DN.val) < first(DN.val)"), window(1, 6))
+    calm = SegGenFilter(var("SM", "max(SM.val) - min(SM.val) <= 3"),
+                        window(1, 12))
+    children = {
+        "RightProbeConcat": RightProbeConcat(up, dn, 0, window(2, 12)),
+        "LeftProbeConcat": LeftProbeConcat(up, dn, 0, window(2, 12)),
+        "RightProbeAnd": RightProbeAnd(calm, up, window(1, 12)),
+        "LeftProbeAnd": LeftProbeAnd(up, calm, window(1, 12)),
+    }
+    return {name: ProbeNot(child, window(2, 12))
+            for name, child in children.items()}
+
+
+#: ``(condition_evals, probe_calls, probe_cache_hits, segments_emitted,
+#: smallest max_segments that fits)`` of each ``probe_not_plans`` entry on
+#: a 60-point random walk, as measured when the probe operators streamed
+#: their anchors one by one.
+STREAMED = {
+    "RightProbeConcat": (2558, 962, 753, 1805, 90),
+    "LeftProbeConcat": (2422, 938, 495, 1547, 114),
+    "RightProbeAnd": (809, 894, 0, 1011, 117),
+    "LeftProbeAnd": (809, 894, 0, 1011, 117),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED))
+def test_probe_not_still_stops_at_the_first_hit(family):
+    """``ProbeNot`` probes its child with exact spaces and closes it after
+    the first hit.  A probe operator under an exact space probes each
+    anchor as it arrives, so no anchor past the first match is drawn,
+    evaluated or charged: the work and the budget are streaming's."""
+    series = make_series(np.cumsum(np.random.default_rng(3).normal(0, 1, 60)))
+    op = probe_not_plans()[family]
+    full = SearchSpace.full(len(series))
+    *counts, budget = STREAMED[family]
+    ctx = ExecContext(series)
+    list(op.eval(ctx, full, {}))
+    assert [ctx.stats[name] for name in (
+        "condition_evals", "probe_calls", "probe_cache_hits",
+        "segments_emitted")] == counts
+    list(op.eval(ExecContext(series, segment_budget=budget), full, {}))
+    with pytest.raises(ResourceBudgetExceeded):
+        list(op.eval(ExecContext(series, segment_budget=budget - 1), full, {}))
