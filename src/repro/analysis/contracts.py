@@ -15,7 +15,8 @@ from typing import Dict, FrozenSet, Tuple
 
 #: Engine packages the analyzer parses (relative to ``src/repro``).
 CHECKED_PACKAGES: Tuple[str, ...] = (
-    "exec", "aggregates", "baselines", "core", "index")
+    "exec", "aggregates", "baselines", "core", "index", "optimizer", "plan",
+    "service")
 
 #: Function names whose bodies root the budget-contract reachability
 #: walk, per package.  ``Operator.eval`` and aggregate ``lookup`` are

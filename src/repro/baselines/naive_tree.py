@@ -30,7 +30,7 @@ from repro.exec.and_or import SortMergeAnd
 from repro.lang.query import Query
 from repro.lang.windows import WindowConjunction
 from repro.optimizer.construct import (NOT_MATERIALIZE, SORT_MERGE,
-                                       BuildResult, Construction,
+                                       BuildResult, Construction, Origin,
                                        validate_scoping)
 from repro.optimizer.rulebased import RuleBasedPlanner, RuleStrategy
 from repro.plan.logical import LKleene, build_logical_plan
@@ -77,12 +77,13 @@ class _NaiveConstruction(Construction):
         self.nested_loop_and = nested_loop_and
 
     def combine_and(self, left: BuildResult, right: BuildResult,
-                    window: WindowConjunction, impl: str) -> BuildResult:
+                    window: WindowConjunction, impl: str,
+                    origin: Origin) -> BuildResult:
         if impl == SORT_MERGE and self.nested_loop_and:
             publish, requires = self._merged_meta(left.op, right.op)
             op = NestedLoopAnd(left.op, right.op, window, publish, requires)
             return BuildResult(op, left.lifted + right.lifted)
-        return super().combine_and(left, right, window, impl)
+        return super().combine_and(left, right, window, impl, origin)
 
     def build_kleene(self, child: BuildResult,
                      node: LKleene) -> BuildResult:

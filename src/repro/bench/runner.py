@@ -146,15 +146,13 @@ def run_ndcg(template: QueryTemplate, table: Table,
 
     The candidate plan list is the rule-based families of Section 6.2.3
     (the same physical plans Table 4 executes); each is costed by the
-    optimizer's cost model via :class:`PlanCostEstimator` and then actually
-    executed for its true time.
+    optimizer's own cost model (:meth:`CostBasedPlanner.price` after one
+    ``optimize()`` of the query) and then actually executed for its true
+    time.
     """
-    import numpy as np
-
     from repro.bench.ndcg import ndcg_from_times
-    from repro.optimizer.plan_coster import PlanCostEstimator
+    from repro.optimizer.planner import CostBasedPlanner
     from repro.optimizer.rulebased import RuleBasedPlanner
-    from repro.optimizer.stats import collect_stats
 
     if param_sets is None:
         param_sets = template.param_sets()
@@ -168,18 +166,14 @@ def run_ndcg(template: QueryTemplate, table: Table,
         query = template.compile(params)
         series_list = table.partition(query.partition_by, query.order_by)
         logical = build_logical_plan(query)
-        stats_seconds, stats = timed(
-            lambda: collect_stats(query, cold(series_list),
-                                  num_series=num_series))
-        collection.append(stats_seconds)
-        rng = np.random.default_rng(7)
-        sample = series_list[int(rng.integers(0, len(series_list)))]
-        estimator = PlanCostEstimator(stats, sample)
+        planner = CostBasedPlanner(num_series=num_series)
+        planner.optimize(query, logical, cold(series_list))
+        collection.append(planner.last_stats.collection_seconds)
         for strategy in strategies:
             try:
                 plan = RuleBasedPlanner(strategy, sharing="on").plan(
                     query, logical)
-                estimated = estimator.estimate(plan)
+                estimated = planner.price(plan)
             except TRexError:
                 continue
             engine = TRexEngine(optimizer=strategy, sharing="on",

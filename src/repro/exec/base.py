@@ -279,6 +279,11 @@ class PhysicalOperator(ABC):
     #: the operator is charged under ``name``.
     cost_key: Optional[str] = None
 
+    #: Set by the planner's construction on binary, Not and Kleene
+    #: operators: the logical node (and chain parts) the operator was
+    #: built for, which the cost model reads back when pricing a plan.
+    origin: Optional[tuple] = None
+
     def __init__(self, window: WindowConjunction,
                  publish: FrozenSet[str] = frozenset(),
                  requires: FrozenSet[str] = frozenset()):

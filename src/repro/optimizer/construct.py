@@ -45,6 +45,18 @@ NOT_PROBE = "probe"
 LEAF_INDEXING = "indexing"
 LEAF_FILTER = "filter"
 
+#: What a binary, Not or Kleene operator was built for: its logical node
+#: and, over an n-ary chain, the node's part indices under the operator's
+#: left and right child.  Recorded on the operator as ``op.origin`` so
+#: ``CostBasedPlanner.price`` can ask the logical plan what the DP asked.
+Origin = Tuple[LogicalNode, FrozenSet[int], FrozenSet[int]]
+
+#: The operator class of each binary implementation choice.
+CONCAT_OPS = {SORT_MERGE: SortMergeConcat, RIGHT_PROBE: RightProbeConcat,
+              LEFT_PROBE: LeftProbeConcat}
+AND_OPS = {SORT_MERGE: SortMergeAnd, RIGHT_PROBE: RightProbeAnd,
+           LEFT_PROBE: LeftProbeAnd}
+
 
 def publish_set(query: Query) -> FrozenSet[str]:
     """Variable names that may need to travel in payloads.
@@ -195,47 +207,58 @@ class Construction:
     def _provided(op: PhysicalOperator) -> Set[str]:
         return set(op.publish)
 
-    def combine_concat(self, left: BuildResult, right: BuildResult, gap: int,
-                       window: WindowConjunction, impl: str) -> BuildResult:
-        publish, requires = self._merged_meta(left.op, right.op)
-        classes = {SORT_MERGE: SortMergeConcat, RIGHT_PROBE: RightProbeConcat,
-                   LEFT_PROBE: LeftProbeConcat}
-        op = classes[impl](left.op, right.op, gap, window, publish, requires)
+    @staticmethod
+    def _binary(op: PhysicalOperator, left: BuildResult, right: BuildResult,
+                origin: Origin) -> BuildResult:
+        op.origin = origin
         return BuildResult(op, left.lifted + right.lifted)
+
+    def combine_concat(self, left: BuildResult, right: BuildResult,
+                       window: WindowConjunction, impl: str,
+                       origin: Origin) -> BuildResult:
+        """``parts[left] · parts[right]`` of the LConcat ``origin[0]``."""
+        publish, requires = self._merged_meta(left.op, right.op)
+        gap = origin[0].gaps[max(origin[1])]
+        op = CONCAT_OPS[impl](left.op, right.op, gap, window, publish,
+                              requires)
+        return self._binary(op, left, right, origin)
 
     def combine_and(self, left: BuildResult, right: BuildResult,
-                    window: WindowConjunction, impl: str) -> BuildResult:
+                    window: WindowConjunction, impl: str,
+                    origin: Origin) -> BuildResult:
         publish, requires = self._merged_meta(left.op, right.op)
-        classes = {SORT_MERGE: SortMergeAnd, RIGHT_PROBE: RightProbeAnd,
-                   LEFT_PROBE: LeftProbeAnd}
-        op = classes[impl](left.op, right.op, window, publish, requires)
-        return BuildResult(op, left.lifted + right.lifted)
+        op = AND_OPS[impl](left.op, right.op, window, publish, requires)
+        return self._binary(op, left, right, origin)
 
     def combine_or(self, left: BuildResult, right: BuildResult,
-                   window: WindowConjunction) -> BuildResult:
+                   window: WindowConjunction, origin: Origin) -> BuildResult:
         publish, requires = self._merged_meta(left.op, right.op)
         op = SortMergeOr(left.op, right.op, window, publish, requires)
-        return BuildResult(op, left.lifted + right.lifted)
+        return self._binary(op, left, right, origin)
 
     def wild_concat(self, left: BuildResult, right: BuildResult,
-                    pad_window: WindowConjunction,
-                    window: WindowConjunction, gap_left: int = 0,
-                    gap_right: int = 0) -> BuildResult:
+                    window: WindowConjunction, origin: Origin) -> BuildResult:
+        """``parts[left] · PAD · parts[right]`` of the LConcat
+        ``origin[0]``, the pad being the one part between the two."""
         publish, requires = self._merged_meta(left.op, right.op)
-        op = WildWindowConcat(left.op, right.op, pad_window, window, publish,
-                              requires, gap_left=gap_left,
-                              gap_right=gap_right)
-        return BuildResult(op, left.lifted + right.lifted)
+        node, left_parts, _right_parts = origin
+        pad = max(left_parts) + 1
+        op = WildWindowConcat(left.op, right.op, node.parts[pad].window,
+                              window, publish, requires,
+                              gap_left=node.gaps[pad - 1],
+                              gap_right=node.gaps[pad])
+        return self._binary(op, left, right, origin)
 
     # -- unary ---------------------------------------------------------------
 
-    def build_not(self, child: BuildResult, window: WindowConjunction,
+    def build_not(self, child: BuildResult, node: LNot,
                   impl: str) -> BuildResult:
         if child.lifted:
             raise PlanError("conditions cannot be lifted out of a Not "
                             "operator (Section 4.4.2)")
         cls = MaterializeNot if impl == NOT_MATERIALIZE else ProbeNot
-        op = cls(child.op, window, frozenset(), child.op.requires)
+        op = cls(child.op, node.window, frozenset(), child.op.requires)
+        op.origin = (node, frozenset(), frozenset())
         return BuildResult(op)
 
     def build_kleene(self, child: BuildResult, node: LKleene) -> BuildResult:
@@ -245,6 +268,7 @@ class Construction:
         op = MaterializeKleene(child.op, node.min_reps, node.max_reps,
                                node.gap, node.window, frozenset(),
                                child.op.requires)
+        op.origin = (node, frozenset(), frozenset())
         return BuildResult(op)
 
     def apply_filter(self, result: BuildResult,

@@ -8,11 +8,13 @@ The planner searches the complete plan space — including bushy plans — by:
   MaterializeNot vs ProbeNot, SegGenFilter vs SegGenIndexing, WConcat
   fusion),
 
-with the cardinality and cost models of Table 1 evaluated on search-space
+with the cardinality and cost models of Table 1 (one function per operator
+family in :mod:`repro.optimizer.costmodel`) evaluated on search-space
 *range sizes* and query-time sampled selectivities.  Reference dependencies
 are honoured: a probed side may consume references bound by its anchor;
 otherwise conditions lift into Filters (Figure 6) whose cost and
-selectivity the model accounts for.
+selectivity the model accounts for.  :meth:`CostBasedPlanner.price` applies
+the same functions to a plan that is already built.
 
 ``allow_probes=False`` yields the paper's "T-ReX Batch" executor
 (Section 6.3).
@@ -27,26 +29,29 @@ import numpy as np
 
 from repro.errors import PlanError
 from repro.testing import faults as _faults
+from repro.exec.and_or import SortMergeOr
 from repro.exec.base import PhysicalOperator
+from repro.exec.concat import WildWindowConcat
+from repro.exec.filter_op import FilterOp
+from repro.exec.not_op import MaterializeNot
+from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
+from repro.exec.special import SubPatternCache
 from repro.exec.vector import compiles_statically
 from repro.lang.query import Query, VarDef
+from repro.lang.windows import WindowConjunction
 from repro.optimizer import costmodel as CM
-from repro.optimizer.construct import (LEAF_FILTER, LEAF_INDEXING,
-                                       LEFT_PROBE, NOT_MATERIALIZE,
-                                       NOT_PROBE, RIGHT_PROBE, SORT_MERGE,
-                                       BuildResult, Construction,
-                                       validate_scoping, var_is_indexable)
-from repro.optimizer.cost_params import (DEFAULT_COST_PARAMS, CostParams,
-                                         expected_distinct)
+from repro.optimizer.construct import (AND_OPS, CONCAT_OPS, LEAF_FILTER,
+                                       LEAF_INDEXING, LEFT_PROBE,
+                                       NOT_MATERIALIZE, NOT_PROBE,
+                                       RIGHT_PROBE, SORT_MERGE, BuildResult,
+                                       Construction, validate_scoping,
+                                       var_is_indexable)
+from repro.optimizer.cost_params import DEFAULT_COST_PARAMS, CostParams
 from repro.optimizer.stats import (StatsCatalog, check_deadlines,
                                    collect_stats)
 from repro.plan.logical import (LAnd, LConcat, LKleene, LNot, LOr, LVar,
                                 LogicalNode, build_logical_plan)
 from repro.timeseries.series import Series
-
-#: Guard against degenerate cardinalities.
-_MIN_CARD = 1e-6
-
 
 @dataclass(frozen=True)
 class PendingLift:
@@ -67,6 +72,10 @@ class Candidate:
     pending: Tuple[PendingLift, ...]
     provides_publish: FrozenSet[str]
     build: Callable[[], BuildResult]
+
+    @property
+    def estimate(self) -> CM.Estimate:
+        return self.cost, self.out_card
 
 
 class CostBasedPlanner:
@@ -95,6 +104,9 @@ class CostBasedPlanner:
         self._construction: Optional[Construction] = None
         self._memo: Dict[tuple, Candidate] = {}
         self._bounds_cache: Dict[int, CM.Bounds] = {}
+        self._window_cache: Dict[int, Tuple[WindowConjunction,
+                                            CM.Bounds]] = {}
+        self._relaxed: Dict[int, WindowConjunction] = {}
         self._leaf_costs: Dict[tuple, Tuple[float, float, float, bool]] = {}
         self.last_estimated_cost: float = 0.0
         self.last_stats: Optional[StatsCatalog] = None
@@ -162,17 +174,35 @@ class CostBasedPlanner:
             query, sharing="off" if self.sharing == "off" else "on")
         self._memo = {}
         self._bounds_cache = {}
+        self._window_cache = {}
+        self._relaxed = {}
         self._leaf_costs = {}
         candidate = self._optimize(logical, float(self._n), float(self._n),
                                    frozenset())
         # Account for any filter applied at the very root.
-        for lift in candidate.pending:
-            candidate = Candidate(
-                candidate.cost + candidate.out_card * lift.per_row_cost,
-                candidate.out_card * lift.selectivity, (),
-                candidate.provides_publish, candidate.build)
+        if candidate.pending:
+            cost, card = CM.filter_estimate(
+                candidate.estimate,
+                [(lift.per_row_cost, lift.selectivity)
+                 for lift in candidate.pending])
+            candidate = Candidate(cost, card, (), candidate.provides_publish,
+                                  candidate.build)
         self.last_estimated_cost = candidate.cost
         return candidate
+
+    def price(self, plan: PhysicalOperator) -> float:
+        """The DP's estimated cost of a built plan for the query of the last
+        :meth:`optimize` call — its own choice or any rule-based plan.
+
+        Walks the plan top-down with the DP's range sizes and calls the
+        same :mod:`~repro.optimizer.costmodel` functions on that call's
+        statistics and sample series.  Where the DP sizes a probe join from
+        the probed side's cardinality over the full space, a side the plan
+        does not contain, it is the DP's own estimate for that side.
+        ``price(plan(...)) == last_estimated_cost``.
+        """
+        return self._price(plan, float(self._n), float(self._n),
+                           frozenset())[0]
 
     # -- shared helpers -------------------------------------------------------
 
@@ -183,14 +213,57 @@ class CostBasedPlanner:
             self._bounds_cache[node.node_id] = bounds
         return bounds
 
-    def _window_bounds(self, node: LogicalNode) -> CM.Bounds:
-        return CM.window_duration_bounds(node.window, self._series)
+    def _window_bounds(self, window: WindowConjunction) -> CM.Bounds:
+        # Keyed by identity; the entry keeps the window alive.
+        hit = self._window_cache.get(id(window))
+        if hit is None:
+            hit = self._window_cache[id(window)] = (
+                window, CM.window_duration_bounds(window, self._series))
+        return hit[1]
 
-    def _sel_w(self, node: LogicalNode, ls: float, le: float,
+    def _sel_w(self, window: WindowConjunction, ls: float, le: float,
                lse: float) -> float:
         return max(CM.boxed_pair_fraction(ls, le, lse,
-                                          self._window_bounds(node)),
+                                          self._window_bounds(window)),
                    1e-9)
+
+    def _space(self, window: WindowConjunction, ls: float,
+               le: float) -> Tuple[float, float, float]:
+        """``(ℓ_se, Sel_w, admissible segments)`` of a boxed space."""
+        lse = CM.lse_estimate(ls, le, self._n)
+        sel_w = self._sel_w(window, ls, le, lse)
+        return lse, sel_w, max(ls * le * sel_w, CM.MIN_CARD)
+
+    def _interval_bounds(self, node: LConcat, i: int, j: int) -> CM.Bounds:
+        """Duration bounds of ``parts[i..j]`` of a Concat chain."""
+        lo = 0.0
+        hi = 0.0
+        for k in range(i, j + 1):
+            part_lo, part_hi = self._duration_bounds(node.parts[k])
+            lo += part_lo
+            hi += part_hi
+            if k < j:
+                lo += node.gaps[k]
+                hi += node.gaps[k]
+        return lo, hi
+
+    @staticmethod
+    def _probes_reused(node: LConcat, i: int, j: int,
+                       anchor_publish: FrozenSet[str]) -> bool:
+        """Whether probes of ``parts[i..j]`` are reusable across anchors
+        (the ``D()`` caching discount): not when the interval consumes
+        references the anchor binds (Section 5.1)."""
+        provides: set = set()
+        needs: set = set()
+        for k in range(i, j + 1):
+            provides |= node.parts[k].provides
+            needs |= node.parts[k].requires
+        return not (needs - provides) & anchor_publish
+
+    def _lift(self, var: VarDef, lse: float) -> Tuple[float, float]:
+        """``(per-row cost, selectivity)`` of a lifted condition."""
+        return (self._leaf_eval_costs(var, lse)[0],
+                self._stats.selectivity(var.name))
 
     def _resolve_pending(self, candidate: Candidate,
                          available: FrozenSet[str],
@@ -204,11 +277,9 @@ class CostBasedPlanner:
         if not ready:
             return candidate
         waiting = tuple(p for p in candidate.pending if not p.needed <= bound)
-        cost = candidate.cost
-        card = candidate.out_card
-        for lift in ready:
-            cost += card * lift.per_row_cost
-            card *= lift.selectivity
+        cost, card = CM.filter_estimate(
+            candidate.estimate,
+            [(lift.per_row_cost, lift.selectivity) for lift in ready])
         construction = self._construction
         inner_build = candidate.build
 
@@ -216,8 +287,8 @@ class CostBasedPlanner:
             return construction.maybe_resolve_lifts(inner_build(), available,
                                                     window)
 
-        return Candidate(cost, max(card, _MIN_CARD), waiting,
-                         candidate.provides_publish, build)
+        return Candidate(cost, card, waiting, candidate.provides_publish,
+                         build)
 
     # -- the DP --------------------------------------------------------------
 
@@ -236,9 +307,11 @@ class CostBasedPlanner:
         if isinstance(node, LVar):
             candidate = self._optimize_leaf(node, ls, le, available)
         elif isinstance(node, LAnd):
-            candidate = self._optimize_and(node, ls, le, available)
+            candidate = self._solve_and(node, frozenset(range(len(
+                node.parts))), ls, le, available)
         elif isinstance(node, LConcat):
-            candidate = self._optimize_concat(node, ls, le, available)
+            candidate = self._solve_concat(node, 0, len(node.parts) - 1,
+                                           ls, le, available)
         elif isinstance(node, LOr):
             candidate = self._optimize_or(node, ls, le, available)
         elif isinstance(node, LNot):
@@ -281,90 +354,85 @@ class CostBasedPlanner:
         costs = self._leaf_costs[key] = (direct, build, indexed, indexable)
         return costs
 
+    def _leaf_estimate(self, op_name: str, var: Optional[VarDef],
+                       window: WindowConjunction, ls: float,
+                       le: float) -> CM.Estimate:
+        """A SegGen leaf; ``var`` is ``None`` for an unfiltered
+        ``SegGenWindow``."""
+        params = self.params
+        lse = CM.lse_estimate(ls, le, self._n)
+        sel_w = self._sel_w(window, ls, le, lse)
+        if var is None:
+            return CM.leaf_estimate(op_name, ls, le, sel_w, params)
+        direct, build, indexed, _ = self._leaf_eval_costs(var, lse)
+        if op_name == "SegGenFilter":
+            per_row, build, provider_kind = direct, 0.0, "direct"
+        else:
+            per_row, provider_kind = indexed, "indexed"
+        # Per-path vector discount: batch compilation is capability-
+        # gated per provider (e.g. avg() only batches on the indexed
+        # path), so each side earns the discount independently.
+        if compiles_statically(var, provider_kind, self._query.registry):
+            per_row *= params.vector_leaf_discount
+        return CM.leaf_estimate(op_name, ls, le, sel_w, params,
+                                self._stats.selectivity(var.name), per_row,
+                                build)
+
     def _optimize_leaf(self, node: LVar, ls: float, le: float,
                        available: FrozenSet[str]) -> Candidate:
         var = node.var
-        params = self.params
         construction = self._construction
-        lse = CM.lse_estimate(ls, le, self._n)
-        sel_w = self._sel_w(node, ls, le, lse)
-        c_in = max(ls * le * sel_w, _MIN_CARD)
         publishes = construction.publish & {var.name}
 
         if var.condition is None:
-            cost = params.f_op("SegGenWindow", 2 * c_in)
-            return Candidate(cost, c_in, (), publishes,
+            cost, card = self._leaf_estimate("SegGenWindow", None,
+                                             node.window, ls, le)
+            return Candidate(cost, card, (), publishes,
                              lambda: construction.leaf(node))
 
         satisfiable = set(var.external_refs) <= set(available)
         if not satisfiable:
             # Lifted leaf: SegGenWindow now, Filter later.
-            direct, _build, _indexed, _ = self._leaf_eval_costs(var, lse)
-            needed = frozenset(var.external_refs) | {var.name}
-            pending = PendingLift(var.name, direct,
-                                  self._stats.selectivity(var.name), needed)
-            cost = params.f_op("SegGenWindow", 2 * c_in)
-            return Candidate(cost, c_in, (pending,),
+            cost, card = self._leaf_estimate("SegGenWindow", None,
+                                             node.window, ls, le)
+            pending = PendingLift(
+                var.name, *self._lift(var, CM.lse_estimate(ls, le, self._n)),
+                frozenset(var.external_refs) | {var.name})
+            return Candidate(cost, card, (pending,),
                              publishes | {var.name},
                              lambda: construction.leaf(node, lift=True))
 
-        selectivity = self._stats.selectivity(var.name)
-        c_out = max(c_in * selectivity, _MIN_CARD)
-        direct, build, indexed, indexable = self._leaf_eval_costs(var, lse)
-        # Per-path vector discount: batch compilation is capability-
-        # gated per provider (e.g. avg() only batches on the indexed
-        # path), so each side earns the discount independently.
-        registry = self._query.registry
-        if compiles_statically(var, "direct", registry):
-            direct *= params.vector_leaf_discount
-        filter_cost = params.f_op("SegGenFilter", c_in + c_out) \
-            + c_in * direct
-        options: List[Tuple[float, str]] = [(filter_cost, LEAF_FILTER)]
+        options: List[Tuple[CM.Estimate, str]] = [(self._leaf_estimate(
+            "SegGenFilter", var, node.window, ls, le), LEAF_FILTER)]
+        indexable = self._leaf_eval_costs(
+            var, CM.lse_estimate(ls, le, self._n))[3]
         if indexable and self.sharing != "off":
-            if compiles_statically(var, "indexed", registry):
-                indexed *= params.vector_leaf_discount
-            index_cost = params.f_op("SegGenIndexing", c_in + c_out) \
-                + build + c_in * indexed
-            options.append((index_cost, LEAF_INDEXING))
+            options.append((self._leaf_estimate(
+                "SegGenIndexing", var, node.window, ls, le), LEAF_INDEXING))
         if self.sharing == "on" and indexable:
             # Paper rule: always index when eligible and sharing is forced.
             options = [opt for opt in options if opt[1] == LEAF_INDEXING]
-        cost, impl = min(options, key=lambda pair: pair[0])
-        return Candidate(cost, c_out, (), publishes,
+        (cost, card), impl = min(options, key=lambda pair: pair[0][0])
+        return Candidate(cost, card, (), publishes,
                          lambda impl=impl: construction.leaf(node, impl=impl))
 
     # -- And chains ----------------------------------------------------------
 
-    def _optimize_and(self, node: LAnd, ls: float, le: float,
-                      available: FrozenSet[str]) -> Candidate:
-        params = self.params
-        construction = self._construction
-        lse = CM.lse_estimate(ls, le, self._n)
-        sel_w = self._sel_w(node, ls, le, lse)
-        box = max(ls * le * sel_w, _MIN_CARD)
-        parts = node.parts
-        memo: Dict[Tuple[FrozenSet[int], FrozenSet[str]], Candidate] = {}
-
-        def provides_of(indices: FrozenSet[int]) -> FrozenSet[str]:
-            names: set = set()
-            for i in indices:
-                names |= parts[i].provides
-            return frozenset(names) & construction.publish
-
-        def solve(indices: FrozenSet[int],
-                  avail: FrozenSet[str]) -> Candidate:
-            key = (indices, avail)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if len(indices) == 1:
-                (only,) = indices
-                result = self._resolve_pending(
-                    self._optimize(parts[only], ls, le, avail), avail,
-                    node.window)
-                memo[key] = result
-                return result
-            best: Optional[Candidate] = None
+    def _solve_and(self, node: LAnd, indices: FrozenSet[int], ls: float,
+                   le: float, avail: FrozenSet[str]) -> Candidate:
+        """Best plan for the And parts ``indices`` (the subset DP)."""
+        key = ("and", node.node_id, indices, ls, le, avail)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if len(indices) == 1:
+            (only,) = indices
+            best: Optional[Candidate] = self._resolve_pending(
+                self._optimize(node.parts[only], ls, le, avail), avail,
+                node.window)
+        else:
+            best = None
+            _lse, sel_w, box = self._space(node.window, ls, le)
             members = sorted(indices)
             # Enumerate bipartitions: the lowest member is pinned to the
             # left side (And is commutative, probes cover both directions),
@@ -376,426 +444,388 @@ class CostBasedPlanner:
                 right_set = indices - left_set
                 for choice in self._and_combinations(
                         node, left_set, right_set, ls, le, sel_w, box,
-                        avail, solve, provides_of):
+                        avail):
                     resolved = self._resolve_pending(choice, avail,
                                                      node.window)
                     if best is None or resolved.cost < best.cost:
                         best = resolved
             if best is None:
                 raise PlanError("no valid And combination found")
-            memo[key] = best
-            return best
-
-        return solve(frozenset(range(len(parts))), available)
+        self._memo[key] = best
+        return best
 
     def _and_combinations(self, node, left_set, right_set, ls, le, sel_w,
-                          box, avail, solve, provides_of):
+                          box, avail):
         params = self.params
-        construction = self._construction
-        for anchor_set, probe_set, probe_impl in (
-                (left_set, right_set, RIGHT_PROBE),
-                (right_set, left_set, LEFT_PROBE)):
-            # Sort-Merge (emitted once, from the left/right loop's first
-            # iteration only to avoid duplicates).
-            if probe_impl == RIGHT_PROBE:
-                left = solve(left_set, avail)
-                right = solve(right_set, avail)
-                c_out = max(left.out_card * right.out_card / box, _MIN_CARD)
-                cost = params.f_op(
-                    "SortMergeAnd",
-                    left.out_card + right.out_card + c_out) \
-                    + left.cost + right.cost
-                yield self._make_binary_and(node, left, right, SORT_MERGE,
-                                            cost, c_out, provides_of,
-                                            left_set, right_set)
-            if not self.allow_probes:
-                continue
-            anchor = solve(anchor_set, avail)
+        left = self._solve_and(node, left_set, ls, le, avail)
+        right = self._solve_and(node, right_set, ls, le, avail)
+        yield self._make_binary_and(
+            node, left, right, SORT_MERGE, CM.and_estimate(
+                SORT_MERGE, left.estimate, right.estimate, box, sel_w,
+                params), left_set, right_set)
+        if not self.allow_probes:
+            return
+        for anchor, probe_set, probe_impl in ((left, right_set, RIGHT_PROBE),
+                                              (right, left_set, LEFT_PROBE)):
             probe_avail = avail | anchor.provides_publish
-            probe_full = solve(probe_set, probe_avail)
-            probe_unit = self._optimize_subset_at(node, probe_set, 1.0, 1.0,
-                                                  probe_avail, solve)
-            c_out = max(anchor.out_card * probe_full.out_card / box,
-                        _MIN_CARD)
-            cost = params.f_op(
-                f"{'Right' if probe_impl == RIGHT_PROBE else 'Left'}ProbeAnd",
-                anchor.out_card + probe_unit.out_card + c_out) \
-                + anchor.cost \
-                + anchor.out_card * (probe_unit.cost / max(sel_w, 1e-9)
-                                     + params.probe_overhead)
-            if probe_impl == RIGHT_PROBE:
-                yield self._make_binary_and(node, anchor, probe_unit,
-                                            RIGHT_PROBE, cost, c_out,
-                                            provides_of, left_set, right_set)
-            else:
-                yield self._make_binary_and(node, probe_unit, anchor,
-                                            LEFT_PROBE, cost, c_out,
-                                            provides_of, left_set, right_set)
+            probe_full = self._solve_and(node, probe_set, ls, le,
+                                         probe_avail)
+            probe_unit = self._optimize_subset_at(node, probe_set,
+                                                  probe_avail)
+            pair = (anchor, probe_unit) if probe_impl == RIGHT_PROBE \
+                else (probe_unit, anchor)
+            yield self._make_binary_and(
+                node, *pair, probe_impl, CM.and_estimate(
+                    probe_impl, pair[0].estimate, pair[1].estimate, box,
+                    sel_w, params, probe_full.out_card), left_set,
+                right_set)
 
-    def _optimize_subset_at(self, node, indices, ls, le, avail, solve):
-        """Optimize an And subset at probe-space range sizes (1, 1)."""
-        if len(indices) == 1:
-            (only,) = indices
-            return self._resolve_pending(
-                self._optimize(node.parts[only], ls, le, avail), avail,
-                node.window)
-        # For multi-part probe sides, re-run the subset DP at the probe
-        # space; reuse solve() shape by recursing through _optimize_and-like
-        # logic — approximate with a fresh nested solve at (1,1) using the
-        # node-level helper.
-        sub = _AndSubset(self, node, indices, avail)
-        return sub.solve(ls, le)
+    def _optimize_subset_at(self, node: LAnd, indices: FrozenSet[int],
+                            avail: FrozenSet[str]) -> Candidate:
+        """The probe side of an And join: its parts at the probe space
+        ``(1, 1)``, folded left-deep with ``RightProbeAnd`` (every part is
+        evaluated at the exact segment anyway)."""
+        _lse, sel_w, box = self._space(node.window, 1.0, 1.0)
+        members = sorted(indices)
+        result: Optional[Candidate] = None
+        for done, index in enumerate(members):
+            part_avail = avail if result is None \
+                else avail | result.provides_publish
+            part = self._resolve_pending(
+                self._optimize(node.parts[index], 1.0, 1.0, part_avail),
+                part_avail, node.window)
+            result = part if result is None else self._make_binary_and(
+                node, result, part, RIGHT_PROBE, CM.and_estimate(
+                    RIGHT_PROBE, result.estimate, part.estimate, box, sel_w,
+                    self.params), frozenset(members[:done]),
+                frozenset({index}))
+        assert result is not None
+        return result
 
     def _make_binary_and(self, node, left: Candidate, right: Candidate,
-                         impl: str, cost: float, c_out: float, provides_of,
-                         left_set, right_set) -> Candidate:
+                         impl: str, estimate: CM.Estimate, left_set,
+                         right_set) -> Candidate:
         construction = self._construction
-        pending = left.pending + right.pending
-        provides = left.provides_publish | right.provides_publish
 
         def build() -> BuildResult:
             return construction.combine_and(left.build(), right.build(),
-                                            node.window, impl)
+                                            node.window, impl,
+                                            (node, left_set, right_set))
 
-        return Candidate(cost, c_out, pending, provides, build)
+        return _joined(estimate, (left, right), build)
 
     # -- Concat chains -------------------------------------------------------
 
-    def _optimize_concat(self, node: LConcat, ls: float, le: float,
-                         available: FrozenSet[str]) -> Candidate:
-        construction = self._construction
-        parts = node.parts
-        gaps = node.gaps
-        relaxed_window = node.window.relax_lower()
-        memo: Dict[tuple, Candidate] = {}
-
-        def is_pad(index: int) -> bool:
-            part = parts[index]
-            return (isinstance(part, LVar) and part.var.condition is None
-                    and not part.var.external_refs
-                    and part.var.name not in construction.publish)
-
-        def interval_bounds(i: int, j: int) -> CM.Bounds:
-            lo = 0.0
-            hi = 0.0
-            for k in range(i, j + 1):
-                part_lo, part_hi = self._duration_bounds(parts[k])
-                lo += part_lo
-                hi += part_hi
-                if k < j:
-                    lo += gaps[k]
-                    hi += gaps[k]
-            return lo, hi
-
-        def solve(i: int, j: int, sub_ls: float, sub_le: float,
-                  avail: FrozenSet[str], top: bool) -> Candidate:
-            window = node.window if top else relaxed_window
-            key = (i, j, int(sub_ls), int(sub_le), avail, top)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if i == j:
-                result = self._resolve_pending(
-                    self._optimize(parts[i], sub_ls, sub_le, avail), avail,
-                    window)
-                memo[key] = result
-                return result
-            lse = CM.lse_estimate(sub_ls, sub_le, self._n)
-            window_bounds = CM.window_duration_bounds(window, self._series)
-            best: Optional[Candidate] = None
+    def _solve_concat(self, node: LConcat, i: int, j: int, ls: float,
+                      le: float, avail: FrozenSet[str]) -> Candidate:
+        """Best plan for ``parts[i..j]`` (the interval DP)."""
+        key = ("concat", node.node_id, i, j, int(ls), int(le), avail)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if (i, j) == (0, len(node.parts) - 1):
+            window = node.window
+        else:
+            window = self._relaxed.get(node.node_id)
+            if window is None:
+                window = self._relaxed[node.node_id] = \
+                    node.window.relax_lower()
+        if i == j:
+            best: Optional[Candidate] = self._resolve_pending(
+                self._optimize(node.parts[i], ls, le, avail), avail, window)
+        else:
+            best = None
+            lse = CM.lse_estimate(ls, le, self._n)
+            window_bounds = self._window_bounds(window)
             for split in range(i, j):
                 for choice in self._concat_splits(
-                        node, i, j, split, sub_ls, sub_le, lse, window,
-                        window_bounds, avail, solve, interval_bounds,
-                        is_pad):
+                        node, i, j, split, ls, le, lse, window,
+                        window_bounds, avail):
                     resolved = self._resolve_pending(choice, avail, window)
                     if best is None or resolved.cost < best.cost:
                         best = resolved
             if best is None:
                 raise PlanError("no valid Concat split found")
-            memo[key] = best
-            return best
-
-        return solve(0, len(parts) - 1, ls, le, available, True)
+        self._memo[key] = best
+        return best
 
     def _concat_splits(self, node, i, j, split, ls, le, lse, window,
-                       window_bounds, avail, solve, interval_bounds, is_pad):
+                       window_bounds, avail):
         params = self.params
         construction = self._construction
         gap = node.gaps[split]
-        left_bounds = interval_bounds(i, split)
-        right_bounds = interval_bounds(split + 1, j)
-        cond_sel = CM.concat_window_selectivity(window_bounds, left_bounds,
-                                                right_bounds, gap, lse)
-        cond_sel = max(cond_sel, 1e-9)
+        left_bounds = self._interval_bounds(node, i, split)
+        right_bounds = self._interval_bounds(node, split + 1, j)
+        origin = (node, frozenset(range(i, split + 1)),
+                  frozenset(range(split + 1, j + 1)))
 
-        def interval_refs(lo_idx: int, hi_idx: int) -> FrozenSet[str]:
-            provides: set = set()
-            needs: set = set()
-            for k in range(lo_idx, hi_idx + 1):
-                provides |= node.parts[k].provides
-                needs |= node.parts[k].requires
-            return frozenset(needs - provides)
+        def candidate(impl, left, right, probed_card=None,
+                      probes_reused=True):
+            return _joined(CM.concat_estimate(
+                impl, left.estimate, right.estimate, lse, window_bounds,
+                left_bounds, right_bounds, gap, params, probed_card,
+                probes_reused), (left, right),
+                lambda: construction.combine_concat(
+                    left.build(), right.build(), window, impl, origin))
 
-        left_full = solve(i, split, ls, lse, avail, False)
-        right_full = solve(split + 1, j, lse, le, avail, False)
-        c_out = max(left_full.out_card * right_full.out_card / max(lse, 1.0)
-                    * cond_sel, _MIN_CARD)
-
-        def build_sm(lc=left_full, rc=right_full):
-            return construction.combine_concat(lc.build(), rc.build(), gap,
-                                               window, SORT_MERGE)
-
-        # Sort-Merge.
-        sm_cost = params.f_op("SortMergeConcat",
-                              left_full.out_card + right_full.out_card
-                              + c_out) + left_full.cost + right_full.cost
-        yield Candidate(sm_cost, c_out,
-                        left_full.pending + right_full.pending,
-                        left_full.provides_publish
-                        | right_full.provides_publish, build_sm)
+        left_full = self._solve_concat(node, i, split, ls, lse, avail)
+        right_full = self._solve_concat(node, split + 1, j, lse, le, avail)
+        yield candidate(SORT_MERGE, left_full, right_full)
 
         if self.allow_probes:
             # Right probe: enumerate left, probe right at (1, le).
-            probe_avail = avail | left_full.provides_publish
-            right_probe = solve(split + 1, j, 1.0, le, probe_avail, False)
-            # The D() caching discount only applies when probe results can
-            # be reused across anchors, i.e. the probed side consumes no
-            # references from the anchor (Section 5.1).
-            if interval_refs(split + 1, j) & left_full.provides_publish:
-                distinct = left_full.out_card
-            else:
-                distinct = expected_distinct(left_full.out_card, lse)
-            rp_cost = params.f_op(
-                "RightProbeConcat",
-                left_full.out_card + right_probe.out_card + c_out) \
-                + left_full.cost \
-                + distinct * (right_probe.cost + params.probe_overhead)
-
-            def build_rp(lc=left_full, rc=right_probe):
-                return construction.combine_concat(lc.build(), rc.build(),
-                                                   gap, window, RIGHT_PROBE)
-
-            yield Candidate(rp_cost, c_out,
-                            left_full.pending + right_probe.pending,
-                            left_full.provides_publish
-                            | right_probe.provides_publish, build_rp)
-
+            right_probe = self._solve_concat(
+                node, split + 1, j, 1.0, le,
+                avail | left_full.provides_publish)
+            yield candidate(RIGHT_PROBE, left_full, right_probe,
+                            right_full.out_card,
+                            self._probes_reused(node, split + 1, j,
+                                                left_full.provides_publish))
             # Left probe: enumerate right, probe left at (ls, 1).
-            probe_avail = avail | right_full.provides_publish
-            left_probe = solve(i, split, ls, 1.0, probe_avail, False)
-            if interval_refs(i, split) & right_full.provides_publish:
-                distinct = right_full.out_card
-            else:
-                distinct = expected_distinct(right_full.out_card, lse)
-            lp_cost = params.f_op(
-                "LeftProbeConcat",
-                left_probe.out_card + right_full.out_card + c_out) \
-                + right_full.cost \
-                + distinct * (left_probe.cost + params.probe_overhead)
-
-            def build_lp(lc=left_probe, rc=right_full):
-                return construction.combine_concat(lc.build(), rc.build(),
-                                                   gap, window, LEFT_PROBE)
-
-            yield Candidate(lp_cost, c_out,
-                            left_probe.pending + right_full.pending,
-                            left_probe.provides_publish
-                            | right_full.provides_publish, build_lp)
+            left_probe = self._solve_concat(
+                node, i, split, ls, 1.0,
+                avail | right_full.provides_publish)
+            yield candidate(LEFT_PROBE, left_probe, right_full,
+                            left_full.out_card,
+                            self._probes_reused(node, i, split,
+                                                right_full.provides_publish))
 
         # WConcat fusion when the boundary part is a pure pad.
         if self.use_wconcat:
+            def is_pad(index: int) -> bool:
+                part = node.parts[index]
+                return (isinstance(part, LVar) and part.var.condition is None
+                        and not part.var.external_refs
+                        and part.var.name not in construction.publish)
+
             if is_pad(split) and split > i:
-                yield from self._wconcat_candidate(
-                    node, i, j, split, ls, le, lse, window, window_bounds,
-                    avail, solve, interval_bounds)
+                yield self._wconcat_candidate(node, i, j, split, ls, le, lse,
+                                              window, window_bounds, avail)
             if is_pad(split + 1) and split + 1 < j:
-                yield from self._wconcat_candidate(
-                    node, i, j, split + 1, ls, le, lse, window,
-                    window_bounds, avail, solve, interval_bounds)
+                yield self._wconcat_candidate(node, i, j, split + 1, ls, le,
+                                              lse, window, window_bounds,
+                                              avail)
 
     def _wconcat_candidate(self, node, i, j, pad_index, ls, le, lse, window,
-                           window_bounds, avail, solve, interval_bounds):
+                           window_bounds, avail) -> Candidate:
         """Fuse parts[i..pad_index-1] · PAD · parts[pad_index+1..j]."""
-        if pad_index <= i or pad_index >= j:
-            return
-        params = self.params
         construction = self._construction
-        pad = node.parts[pad_index]
-        pad_bounds = self._duration_bounds(pad)
-        left = solve(i, pad_index - 1, ls, lse, avail, False)
-        right = solve(pad_index + 1, j, lse, le, avail, False)
-        left_bounds = interval_bounds(i, pad_index - 1)
-        right_bounds = interval_bounds(pad_index + 1, j)
-        pad_width = min(pad_bounds[1], lse) - pad_bounds[0] + 1
-        pad_width = max(pad_width, 1.0)
-        cond_sel = CM.concat_window_selectivity(
-            window_bounds,
-            (left_bounds[0] + pad_bounds[0],
-             left_bounds[1] + min(pad_bounds[1], lse)),
-            right_bounds, 0, lse)
-        c_out = max(left.out_card * right.out_card * pad_width
-                    / max(lse, 1.0) * max(cond_sel, 1e-9), _MIN_CARD)
-        cost = params.f_op("WildWindowConcat",
-                           left.out_card + right.out_card + c_out) \
-            + left.cost + right.cost
-
-        gap_left = node.gaps[pad_index - 1]
-        gap_right = node.gaps[pad_index]
-
-        def build(lc=left, rc=right):
-            return construction.wild_concat(lc.build(), rc.build(),
-                                            pad.window, window,
-                                            gap_left, gap_right)
-
-        yield Candidate(cost, c_out, left.pending + right.pending,
-                        left.provides_publish | right.provides_publish,
-                        build)
+        left = self._solve_concat(node, i, pad_index - 1, ls, lse, avail)
+        right = self._solve_concat(node, pad_index + 1, j, lse, le, avail)
+        origin = (node, frozenset(range(i, pad_index)),
+                  frozenset(range(pad_index + 1, j + 1)))
+        return _joined(CM.wconcat_estimate(
+            left.estimate, right.estimate, lse, window_bounds,
+            self._interval_bounds(node, i, pad_index - 1),
+            self._duration_bounds(node.parts[pad_index]),
+            self._interval_bounds(node, pad_index + 1, j), self.params),
+            (left, right), lambda: construction.wild_concat(
+                left.build(), right.build(), window, origin))
 
     # -- Or / Not / Kleene ---------------------------------------------------
 
     def _optimize_or(self, node: LOr, ls: float, le: float,
                      available: FrozenSet[str]) -> Candidate:
-        params = self.params
         construction = self._construction
-        lse = CM.lse_estimate(ls, le, self._n)
-        window_bounds = self._window_bounds(node)
-        result: Optional[Candidate] = None
-        for part in node.parts:
-            child = self._resolve_pending(
-                self._optimize(part, ls, le, available), available,
-                node.window)
-            arm_sel = CM.containment_selectivity(
-                window_bounds, self._duration_bounds(part), lse)
-            arm_card = child.out_card * max(arm_sel, 1e-9)
-            if result is None:
-                result = Candidate(child.cost, arm_card, child.pending,
-                                   child.provides_publish, child.build)
-                continue
-            c_out = result.out_card + arm_card
-            cost = params.f_op("SortMergeOr",
-                               result.out_card + arm_card + c_out) \
-                + result.cost + child.cost
-            prev = result
+        arms = [self._resolve_pending(self._optimize(part, ls, le, available),
+                                      available, node.window)
+                for part in node.parts]
+        estimate = CM.or_estimate(
+            [arm.estimate for arm in arms],
+            [self._duration_bounds(part) for part in node.parts],
+            self._window_bounds(node.window),
+            CM.lse_estimate(ls, le, self._n), self.params)
 
-            def build(lc=prev, rc=child):
-                return construction.combine_or(lc.build(), rc.build(),
-                                               node.window)
+        def build():
+            result = arms[0].build()
+            for index in range(1, len(arms)):
+                result = construction.combine_or(
+                    result, arms[index].build(), node.window,
+                    (node, frozenset(range(index)), frozenset({index})))
+            return result
 
-            result = Candidate(cost, max(c_out, _MIN_CARD),
-                               prev.pending + child.pending,
-                               prev.provides_publish
-                               | child.provides_publish, build)
-        assert result is not None
-        return result
+        return _joined(estimate, arms, build)
 
     def _optimize_not(self, node: LNot, ls: float, le: float,
                       available: FrozenSet[str]) -> Candidate:
         params = self.params
         construction = self._construction
-        lse = CM.lse_estimate(ls, le, self._n)
-        sel_w = self._sel_w(node, ls, le, lse)
-        box = max(ls * le * sel_w, _MIN_CARD)
+        _lse, _sel_w, box = self._space(node.window, ls, le)
+        dedupe = _contains_concat(node.child)
 
         child_full = self._optimize(node.child, ls, le, available)
         if child_full.pending:
             raise PlanError("conditions cannot lift out of a Not")
-        c_in = child_full.out_card
-        if _contains_concat(node.child):
-            c_in = expected_distinct(c_in, box)
-        c_out = max(box - c_in, _MIN_CARD)
-
-        mat_cost = params.f_op("MaterializeNot", c_in + c_out) \
-            + child_full.cost
-
+        materialize = CM.not_estimate(NOT_MATERIALIZE, child_full.estimate,
+                                      child_full.out_card, box, params,
+                                      dedupe)
         child_unit = self._optimize(node.child, 1.0, 1.0, available)
-        unit_in = max(child_unit.out_card, 1.0)
-        probe_cost = params.f_op("ProbeNot", child_unit.out_card + c_out) \
-            + box * (child_unit.cost / unit_in + params.probe_overhead)
+        probe = CM.not_estimate(NOT_PROBE, child_unit.estimate,
+                                child_full.out_card, box, params, dedupe)
 
-        if probe_cost < mat_cost and self.allow_probes:
-            cost, impl, child = probe_cost, NOT_PROBE, child_unit
+        if probe[0] < materialize[0] and self.allow_probes:
+            estimate, impl, child = probe, NOT_PROBE, child_unit
         else:
-            cost, impl, child = mat_cost, NOT_MATERIALIZE, child_full
+            estimate, impl, child = materialize, NOT_MATERIALIZE, child_full
 
-        def build(ch=child, impl=impl):
-            return construction.build_not(ch.build(), node.window, impl)
+        def build():
+            return construction.build_not(child.build(), node, impl)
 
-        return Candidate(cost, c_out, (), frozenset(), build)
+        return Candidate(*estimate, (), frozenset(), build)
 
     def _optimize_kleene(self, node: LKleene, ls: float, le: float,
                          available: FrozenSet[str]) -> Candidate:
-        params = self.params
         construction = self._construction
         lse = CM.lse_estimate(ls, le, self._n)
         child = self._optimize(node.child, lse, lse, available)
         if child.pending:
             raise PlanError("conditions cannot lift out of a Kleene body")
-        c_in = child.out_card
-        window_bounds = self._window_bounds(node)
-        child_bounds = self._duration_bounds(node.child)
-        sel1 = max(CM.containment_selectivity(window_bounds, child_bounds,
-                                              lse), 1e-9)
-        sel2 = max(CM.concat_window_selectivity(window_bounds, child_bounds,
-                                                child_bounds, node.gap, lse),
-                   1e-9)
-        ratio = (ls * le) / max(lse * lse, 1.0)
-        c_out = c_in * ratio * sel1 + (c_in ** 2) * ratio / max(lse, 1.0) \
-            * sel2
-        c_out = max(c_out, _MIN_CARD)
-        cost = params.f_op("MaterializeKleene", c_in + c_out) + child.cost
+        cost, card = CM.kleene_estimate(
+            child.estimate, ls, le, lse, self._window_bounds(node.window),
+            self._duration_bounds(node.child), node.gap, self.params)
 
-        def build(ch=child):
-            return construction.build_kleene(ch.build(), node)
+        def build():
+            return construction.build_kleene(child.build(), node)
 
-        return Candidate(cost, c_out, (), frozenset(), build)
+        return Candidate(cost, card, (), frozenset(), build)
+
+    # -- pricing a built plan ------------------------------------------------
+
+    def _price(self, op: PhysicalOperator, ls: float, le: float,
+               avail: FrozenSet[str]) -> CM.Estimate:
+        """``(cost, card)`` of ``op`` in a ``(ℓ_s, ℓ_e)`` space with the
+        references ``avail`` bound by enclosing probe anchors."""
+        params = self.params
+        if isinstance(op, SubPatternCache):
+            return self._price(op.child, ls, le, avail)
+        if isinstance(op, (SegGenWindow, SegGenFilter, SegGenIndexing)):
+            return self._leaf_estimate(
+                type(op).__name__,
+                None if isinstance(op, SegGenWindow) else op.var, op.window,
+                ls, le)
+        if isinstance(op, FilterOp):
+            lse = CM.lse_estimate(ls, le, self._n)
+            return CM.filter_estimate(
+                self._price(op.child, ls, le, avail),
+                [self._lift(self._query.var(owner), lse)
+                 for owner, _condition in op.conditions])
+        if op.origin is None:  # not built by Construction
+            raise PlanError(f"cannot price operator {op!r}")
+        impl = _IMPL_OF.get(type(op))
+        node, left_parts, right_parts = op.origin
+        if isinstance(node, LConcat):
+            return self._price_concat(op, impl, node, left_parts,
+                                      right_parts, ls, le, avail)
+        if isinstance(node, LAnd):
+            _lse, sel_w, box = self._space(op.window, ls, le)
+            if impl == SORT_MERGE:
+                return CM.and_estimate(
+                    impl, self._price(op.left, ls, le, avail),
+                    self._price(op.right, ls, le, avail), box, sel_w, params)
+            anchor, probe, probe_parts = (op.left, op.right, right_parts) \
+                if impl == RIGHT_PROBE else (op.right, op.left, left_parts)
+            probe_avail = avail | anchor.publish
+            anchor_est = self._price(anchor, ls, le, avail)
+            probe_est = self._price_probe_side(probe, node, probe_avail)
+            full = self._solve_and(node, probe_parts, ls, le,
+                                   probe_avail).out_card
+            left, right = (anchor_est, probe_est) if impl == RIGHT_PROBE \
+                else (probe_est, anchor_est)
+            return CM.and_estimate(impl, left, right, box, sel_w, params,
+                                   full)
+        lse = CM.lse_estimate(ls, le, self._n)
+        if isinstance(node, LOr):
+            arms = []
+            while isinstance(op, SortMergeOr) and op.origin[0] is node:
+                arms.append(op.right)
+                op = op.left
+            arms.append(op)
+            return CM.or_estimate(
+                [self._price(arm, ls, le, avail) for arm in reversed(arms)],
+                [self._duration_bounds(part) for part in node.parts],
+                self._window_bounds(node.window), lse, params)
+        if isinstance(node, LNot):
+            _lse, _sel_w, box = self._space(op.window, ls, le)
+            if isinstance(op, MaterializeNot):
+                child = self._price(op.child, ls, le, avail)
+                impl, full = NOT_MATERIALIZE, child[1]
+            else:
+                child = self._price(op.child, 1.0, 1.0, avail)
+                impl = NOT_PROBE
+                full = self._optimize(node.child, ls, le, avail).out_card
+            return CM.not_estimate(impl, child, full, box, params,
+                                   _contains_concat(node.child))
+        return CM.kleene_estimate(
+            self._price(op.child, lse, lse, avail), ls, le, lse,
+            self._window_bounds(op.window), self._duration_bounds(node.child),
+            node.gap, params)
+
+    def _price_concat(self, op, impl, node, left_parts, right_parts, ls, le,
+                      avail) -> CM.Estimate:
+        lse = CM.lse_estimate(ls, le, self._n)
+        window_bounds = self._window_bounds(op.window)
+        i, split, j = min(left_parts), max(left_parts), max(right_parts)
+        if isinstance(op, WildWindowConcat):
+            return CM.wconcat_estimate(
+                self._price(op.left, ls, lse, avail),
+                self._price(op.right, lse, le, avail), lse, window_bounds,
+                self._interval_bounds(node, i, split),
+                self._duration_bounds(node.parts[split + 1]),
+                self._interval_bounds(node, min(right_parts), j),
+                self.params)
+        probed_card = None
+        probes_reused = True
+        if impl == RIGHT_PROBE:
+            left = self._price(op.left, ls, lse, avail)
+            right = self._price(op.right, 1.0, le, avail | op.left.publish)
+            probed_card = self._solve_concat(node, split + 1, j, lse, le,
+                                             avail).out_card
+            probes_reused = self._probes_reused(node, split + 1, j,
+                                                op.left.publish)
+        elif impl == LEFT_PROBE:
+            right = self._price(op.right, lse, le, avail)
+            left = self._price(op.left, ls, 1.0, avail | op.right.publish)
+            probed_card = self._solve_concat(node, i, split, ls, lse,
+                                             avail).out_card
+            probes_reused = self._probes_reused(node, i, split,
+                                                op.right.publish)
+        else:
+            left = self._price(op.left, ls, lse, avail)
+            right = self._price(op.right, lse, le, avail)
+        return CM.concat_estimate(
+            impl, left, right, lse, window_bounds,
+            self._interval_bounds(node, i, split),
+            self._interval_bounds(node, split + 1, j), node.gaps[split],
+            self.params, probed_card, probes_reused)
+
+    def _price_probe_side(self, op: PhysicalOperator, node: LAnd,
+                          avail: FrozenSet[str]) -> CM.Estimate:
+        """The probe side of one of ``node``'s And joins: a part at
+        ``(1, 1)``, or :meth:`_optimize_subset_at`'s fold of several."""
+        if op.origin is None or op.origin[0] is not node:
+            return self._price(op, 1.0, 1.0, avail)
+        _lse, sel_w, box = self._space(op.window, 1.0, 1.0)
+        return CM.and_estimate(
+            RIGHT_PROBE, self._price_probe_side(op.left, node, avail),
+            self._price(op.right, 1.0, 1.0, avail | op.left.publish), box,
+            sel_w, self.params)
 
 
-class _AndSubset:
-    """Nested And-subset DP evaluated at probe-space range sizes."""
+def _joined(estimate: CM.Estimate, parts: Sequence[Candidate],
+            build: Callable[[], BuildResult]) -> Candidate:
+    """A candidate over sub-plans: it inherits their pending lifts and the
+    references they bind."""
+    pending: Tuple[PendingLift, ...] = ()
+    provides: FrozenSet[str] = frozenset()
+    for part in parts:
+        pending += part.pending
+        provides |= part.provides_publish
+    return Candidate(*estimate, pending, provides, build)
 
-    def __init__(self, planner: CostBasedPlanner, node: LAnd,
-                 indices: FrozenSet[int], avail: FrozenSet[str]):
-        self.planner = planner
-        self.node = node
-        self.indices = indices
-        self.avail = avail
 
-    def solve(self, ls: float, le: float) -> Candidate:
-        planner = self.planner
-        node = self.node
-        params = planner.params
-        construction = planner._construction
-        lse = CM.lse_estimate(ls, le, planner._n)
-        sel_w = planner._sel_w(node, ls, le, lse)
-        box = max(ls * le * sel_w, _MIN_CARD)
-        members = sorted(self.indices)
-        # Probe-space subsets are small; fold left-deep with RightProbeAnd
-        # (all children probed at the exact segment anyway).
-        result = planner._resolve_pending(
-            planner._optimize(node.parts[members[0]], ls, le, self.avail),
-            self.avail, node.window)
-        for index in members[1:]:
-            avail = self.avail | result.provides_publish
-            nxt = planner._resolve_pending(
-                planner._optimize(node.parts[index], ls, le, avail), avail,
-                node.window)
-            c_out = max(result.out_card * nxt.out_card / box, _MIN_CARD)
-            impl = RIGHT_PROBE if planner.allow_probes else SORT_MERGE
-            cost = params.f_op(
-                "RightProbeAnd" if impl == RIGHT_PROBE else "SortMergeAnd",
-                result.out_card + nxt.out_card + c_out) \
-                + result.cost + nxt.cost
-            prev = result
-
-            def build(lc=prev, rc=nxt, impl=impl):
-                return construction.combine_and(lc.build(), rc.build(),
-                                                node.window, impl)
-
-            result = Candidate(cost, c_out, prev.pending + nxt.pending,
-                               prev.provides_publish | nxt.provides_publish,
-                               build)
-        return result
+#: The join choice a built Concat or And operator stands for.
+_IMPL_OF = {cls: impl for table in (CONCAT_OPS, AND_OPS)
+            for impl, cls in table.items()}
 
 
 def _contains_concat(node: LogicalNode) -> bool:

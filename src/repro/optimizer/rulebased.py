@@ -113,7 +113,7 @@ class RuleBasedPlanner:
             return self._fold_or(node, construction, available)
         if isinstance(node, LNot):
             child = self._build(node.child, construction, available)
-            return construction.build_not(child, node.window,
+            return construction.build_not(child, node,
                                           self.strategy.not_impl)
         if isinstance(node, LKleene):
             child = self._build(node.child, construction, available)
@@ -133,27 +133,30 @@ class RuleBasedPlanner:
             # providers later in the syntactic chain.
             order = list(reversed(order))
         impl = self.strategy.binary_impl
-        sequence = [parts[i] for i in order]
         if self.strategy.direction == "left":
-            result = self._build(sequence[0], construction, available)
+            result = self._build(parts[order[0]], construction, available)
             bound = available | result.op.publish
-            for part in sequence[1:]:
+            for done, index in enumerate(order[1:], start=1):
                 part_available = bound if use_probe else available
-                built = self._build(part, construction, part_available)
-                result = construction.combine_and(result, built, node.window,
-                                                  impl)
+                built = self._build(parts[index], construction,
+                                    part_available)
+                result = construction.combine_and(
+                    result, built, node.window, impl,
+                    (node, frozenset(order[:done]), frozenset({index})))
                 result = construction.maybe_resolve_lifts(
                     result, available, node.window)
                 bound = bound | result.op.publish
             return result
         # Right-deep fold.
-        result = self._build(sequence[-1], construction, available)
+        result = self._build(parts[order[-1]], construction, available)
         bound = available | result.op.publish
-        for part in reversed(sequence[:-1]):
+        for done in range(len(order) - 2, -1, -1):
+            index = order[done]
             part_available = bound if use_probe else available
-            built = self._build(part, construction, part_available)
-            result = construction.combine_and(built, result, node.window,
-                                              impl)
+            built = self._build(parts[index], construction, part_available)
+            result = construction.combine_and(
+                built, result, node.window, impl,
+                (node, frozenset({index}), frozenset(order[done + 1:])))
             result = construction.maybe_resolve_lifts(result, available,
                                                       node.window)
             bound = bound | result.op.publish
@@ -162,7 +165,6 @@ class RuleBasedPlanner:
     def _build_concat(self, node: LConcat, construction: Construction,
                       available: FrozenSet[str]) -> BuildResult:
         parts = node.parts
-        gaps = node.gaps
         use_probe = self.strategy.binary == "probe"
         impl = self.strategy.binary_impl
         relaxed = node.window.relax_lower()
@@ -177,7 +179,8 @@ class RuleBasedPlanner:
                 built = self._build(parts[index], construction,
                                     part_available)
                 result = construction.combine_concat(
-                    result, built, gaps[index - 1], window, impl)
+                    result, built, window, impl,
+                    (node, frozenset(range(index)), frozenset({index})))
                 result = construction.maybe_resolve_lifts(result, available,
                                                           window)
                 bound = bound | result.op.publish
@@ -189,8 +192,10 @@ class RuleBasedPlanner:
             window = node.window if index == 0 else relaxed
             part_available = bound if use_probe else available
             built = self._build(parts[index], construction, part_available)
-            result = construction.combine_concat(built, result, gaps[index],
-                                                 window, impl)
+            result = construction.combine_concat(
+                built, result, window, impl,
+                (node, frozenset({index}),
+                 frozenset(range(index + 1, len(parts)))))
             result = construction.maybe_resolve_lifts(result, available,
                                                       window)
             bound = bound | result.op.publish
@@ -203,6 +208,8 @@ class RuleBasedPlanner:
             for part in node.parts
         ]
         result = built[0]
-        for other in built[1:]:
-            result = construction.combine_or(result, other, node.window)
+        for index in range(1, len(built)):
+            result = construction.combine_or(
+                result, built[index], node.window,
+                (node, frozenset(range(index)), frozenset({index})))
         return result

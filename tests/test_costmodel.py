@@ -1,6 +1,7 @@
-"""Cost-model component tests (costmodel.py + plan_coster branches)."""
+"""Cost-model component tests (costmodel.py + CostBasedPlanner.price)."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang.query import compile_query
+from repro.testing.fuzz import QueryGen, SeriesGen, _compiles, build_series
 from repro.optimizer import costmodel as CM
-from repro.optimizer.plan_coster import PlanCostEstimator
+from repro.optimizer.planner import CostBasedPlanner
 from repro.optimizer.rulebased import RuleBasedPlanner, RuleStrategy
-from repro.optimizer.stats import collect_stats
 from repro.plan.logical import (LKleene, LNot, LOr, build_logical_plan,
                                 walk)
 
@@ -108,17 +109,20 @@ class TestConcatSelectivity:
                                             50) == 0.0
 
 
+def price(text, data, strategy):
+    """``CostBasedPlanner.price`` of one rule-based plan for ``text``."""
+    query = compile_query(text)
+    logical = build_logical_plan(query)
+    planner = CostBasedPlanner()
+    planner.optimize(query, logical, data)
+    return planner.price(RuleBasedPlanner(strategy).plan(query, logical))
+
+
 class TestPlanCosterBranches:
-    def make(self, text, seed=1):
-        query = compile_query(text)
-        data = series_list(seed)
-        stats = collect_stats(query, data)
-        return query, PlanCostEstimator(stats, data[0])
+    """Every operator family through ``CostBasedPlanner.price``."""
 
     def cost(self, text, strategy=RuleStrategy("left", "probe")):
-        query, estimator = self.make(text)
-        plan = RuleBasedPlanner(strategy).plan(query)
-        value = estimator.estimate(plan)
+        value = price(text, series_list(1), strategy)
         assert math.isfinite(value) and value > 0
         return value
 
@@ -159,12 +163,42 @@ class TestPlanCosterBranches:
                 "DEFINE SEGMENT W AS window(2, null),\n"
                 "SEGMENT UP AS linear_reg_r2_signed(UP.tstamp, UP.val)"
                 " >= 0.8,\nSEGMENT WIN AS window(1, 10)")
-        query = compile_query(text)
-        small = series_list(2, n=30)
-        big = series_list(2, n=120)
-        plan = RuleBasedPlanner(RuleStrategy("left", "sm")).plan(query)
-        small_cost = PlanCostEstimator(
-            collect_stats(query, small), small[0]).estimate(plan)
-        big_cost = PlanCostEstimator(
-            collect_stats(query, big), big[0]).estimate(plan)
+        strategy = RuleStrategy("left", "sm")
+        small_cost = price(text, series_list(2, n=30), strategy)
+        big_cost = price(text, series_list(2, n=120), strategy)
         assert big_cost > small_cost
+
+
+def fuzz_cases(count=60):
+    """Seeded fuzz queries (Or, Not, Kleene, references and lifts
+    included), each with a few short series."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        text = _compiles(QueryGen(rng, max_nodes=7).generate())
+        if text is None:
+            continue
+        series = [build_series(*SeriesGen(rng, max_len=40).generate())
+                  for _ in range(3)]
+        series = [one for one in series if len(one)]
+        if series:
+            yield text, series
+
+
+class TestPriceIsTheEstimate:
+    """``price()`` of the DP's own plan re-derives ``last_estimated_cost``
+    bit for bit: the DP and the pricing walk share every formula and
+    every input.  tests/test_plan_corpus.py checks the same on every
+    template grid point."""
+
+    @pytest.mark.parametrize("sharing", ["auto", "off", "on"])
+    @pytest.mark.parametrize("allow_probes", [True, False])
+    def test_fuzz_sample(self, sharing, allow_probes):
+        checked = 0
+        for text, series in fuzz_cases():
+            query = compile_query(text)
+            planner = CostBasedPlanner(allow_probes=allow_probes,
+                                       sharing=sharing)
+            plan = planner.plan(query, None, series)
+            assert planner.price(plan) == planner.last_estimated_cost, text
+            checked += 1
+        assert checked >= 40

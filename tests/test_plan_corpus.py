@@ -2,10 +2,12 @@
 
 Every grid point of every built-in template, on its default dataset,
 under each sharing policy: the crc32 of the cost-based planner's
-``plan_explain`` and the ``float.hex`` of every sampled ``VarStats``
-field — once cold and again after a warm second plan on the same
-``Series``.  A plan or a statistic that moves fails here, so a move is
-deliberate and visible in the diff of the corpus file.
+``plan_explain``, the ``float.hex`` of its estimated cost and of every
+sampled ``VarStats`` field — once cold and again after a warm second
+plan on the same ``Series``.  A plan, an estimate or a statistic that
+moves fails here, so a move is deliberate and visible in the diff of the
+corpus file.  Each entry also checks that ``CostBasedPlanner.price`` of
+the chosen plan equals its estimate.
 
 Regenerate after an intended move with::
 
@@ -35,12 +37,21 @@ SHARING = ("auto", "off", "on")
 def plan_entry(planner: CostBasedPlanner, query, series_list) -> dict:
     """What the corpus pins for one plan() call."""
     try:
-        explain = planner.plan(query, None, series_list).explain()
+        plan = planner.plan(query, None, series_list)
+        explain = plan.explain()
     except Exception as exc:  # a raising planner is pinned as such
         explain = f"raised {type(exc).__name__}: {exc}"
+    else:
+        # One cost function: pricing the built plan re-derives the DP's
+        # estimate bit for bit.
+        priced = planner.price(plan)
+        assert priced == planner.last_estimated_cost, (
+            f"price() {priced.hex()} != DP "
+            f"{planner.last_estimated_cost.hex()}")
     stats = planner.last_stats
     return {
         "plan_crc32": zlib.crc32(explain.encode()),
+        "estimated_cost": planner.last_estimated_cost.hex(),
         "series_length": None if stats is None else stats.series_length,
         "stats": None if stats is None else {
             name: [entry.selectivity.hex(), entry.avg_length.hex(),

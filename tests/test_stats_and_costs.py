@@ -1,14 +1,15 @@
-"""Statistics sampling, plan costing and NDCG scoring tests."""
+"""Statistics sampling, plan pricing and NDCG scoring tests."""
 
 import numpy as np
 import pytest
 
 from repro.bench.ndcg import dcg, ndcg_from_times
 from repro.lang.query import compile_query
-from repro.optimizer.plan_coster import PlanCostEstimator
+from repro.optimizer.planner import CostBasedPlanner
 from repro.optimizer.rulebased import RuleBasedPlanner, RuleStrategy
 from repro.optimizer.stats import (DEFAULT_REFERENCE_SELECTIVITY,
                                    StatsCatalog, collect_stats)
+from repro.plan.logical import build_logical_plan
 
 from tests.conftest import make_series
 
@@ -83,31 +84,27 @@ class TestCollectStats:
         assert stats.collection_seconds > 0
 
 
-class TestPlanCostEstimator:
+class TestPrice:
+    def priced(self, query, *plans):
+        logical = build_logical_plan(query)
+        planner = CostBasedPlanner()
+        planner.optimize(query, logical, series_list())
+        return [planner.price(RuleBasedPlanner(strategy, sharing=sharing)
+                              .plan(query, logical))
+                for strategy, sharing in plans]
+
     def test_costs_positive_and_distinct(self):
-        query = compile_query(QUERY)
-        data = series_list()
-        stats = collect_stats(query, data)
-        estimator = PlanCostEstimator(stats, data[0])
-        costs = {}
-        for strategy in (RuleStrategy("left", "probe"),
-                         RuleStrategy("left", "sm")):
-            plan = RuleBasedPlanner(strategy).plan(query)
-            costs[strategy.label] = estimator.estimate(plan)
-        assert all(cost > 0 for cost in costs.values())
-        assert costs["pr_left"] != costs["sm_left"]
+        pr_left, sm_left = self.priced(
+            compile_query(QUERY), (RuleStrategy("left", "probe"), "on"),
+            (RuleStrategy("left", "sm"), "on"))
+        assert pr_left > 0 and sm_left > 0
+        assert pr_left != sm_left
 
     def test_sharing_off_plan_costs_more_for_heavy_aggregates(self):
-        text = QUERY.replace("linear_reg_r2_signed", "linear_reg_r2_signed")
-        query = compile_query(text)
-        data = series_list()
-        stats = collect_stats(query, data)
-        estimator = PlanCostEstimator(stats, data[0])
-        indexed = RuleBasedPlanner(RuleStrategy("left", "sm"),
-                                   sharing="on").plan(query)
-        direct = RuleBasedPlanner(RuleStrategy("left", "sm"),
-                                  sharing="off").plan(query)
-        assert estimator.estimate(indexed) < estimator.estimate(direct)
+        indexed, direct = self.priced(
+            compile_query(QUERY), (RuleStrategy("left", "sm"), "on"),
+            (RuleStrategy("left", "sm"), "off"))
+        assert indexed < direct
 
 
 class TestNDCG:
