@@ -10,9 +10,9 @@ diagnostics framework and extends it with operator-contract checks:
   TRX203 (an operator's ``requires`` under-declares what its children
   consume from above);
 * :func:`verify_execution_contracts` — dynamic search-space monotonicity:
-  runs an instrumented copy of the plan over a series and reports every
-  segment emitted outside the operator's search space (TRX204) or in
-  violation of its embedded window (TRX205);
+  runs the plan over a series, observing every operator entry, and
+  reports every segment emitted outside the operator's search space
+  (TRX204) or in violation of its embedded window (TRX205);
 * :func:`check_cost_coverage` — TRX206, introspects every concrete
   operator class under ``repro.exec`` and reports the ones whose cost key
   has no entry in the cost model (``CostParams.f_op`` silently falls back
@@ -21,24 +21,25 @@ diagnostics framework and extends it with operator-contract checks:
 
 from __future__ import annotations
 
-import copy
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple, Type)
+from typing import (Callable, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple, Type)
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.exec.and_or import (LeftProbeAnd, RightProbeAnd, SortMergeAnd,
                                SortMergeOr)
-from repro.exec.base import ExecContext, PhysicalOperator
+from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.exec.concat import (LeftProbeConcat, RightProbeConcat,
                                SortMergeConcat, WildWindowConcat)
 from repro.exec.filter_op import FilterOp
 from repro.exec.kleene import MaterializeKleene
+from repro.exec.metrics import RunMetrics
 from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.exec.special import SubPatternCache
 from repro.lang import expr as E
 from repro.optimizer.cost_params import DEFAULT_COST_PARAMS, CostParams
 from repro.plan.search_space import SearchSpace
+from repro.timeseries.segment import Segment
 from repro.timeseries.series import Series
 
 
@@ -225,76 +226,72 @@ def _publish_require(op: PhysicalOperator,
 # TRX204 / TRX205 — dynamic search-space and window monotonicity
 # ---------------------------------------------------------------------------
 
-_CHILD_ATTRS = ("child", "left", "right")
+class _ContractCheck(RunMetrics):
+    """A metric sink that checks instead of timing: the operator entry
+    hands it every ``eval`` and ``eval_spaces`` call, and each emitted
+    segment is checked against the clamped search space it answers
+    (TRX204) and the operator's embedded window (TRX205)."""
 
+    def __init__(self, diags: List[Diagnostic]) -> None:
+        super().__init__()
+        self.diags = diags
+        self.reported: Set[Tuple[int, str]] = set()
 
-def _instrument(op: PhysicalOperator, diags: List[Diagnostic],
-                reported: Set[Tuple[int, str]]) -> PhysicalOperator:
-    """Shallow-copy the plan, wrapping every ``eval`` with contract checks.
-
-    The copies share immutable state (windows, conditions, VarDefs) with
-    the original plan, so instrumentation never perturbs the real plan.
-    """
-    clone = copy.copy(op)
-    for attr in _CHILD_ATTRS:
-        if hasattr(clone, attr):
-            child = getattr(clone, attr)
-            if isinstance(child, PhysicalOperator):
-                setattr(clone, attr, _instrument(child, diags, reported))
-    inner_eval = type(op).eval
-
-    def checked_eval(ctx: ExecContext, sp: SearchSpace,
-                     refs: Dict[str, Tuple[int, int]]) -> Iterator:
+    def observe_eval(self, op: PhysicalOperator, method: Callable,
+                     ctx: ExecContext, sp: SearchSpace,
+                     refs: Env) -> Iterator[Segment]:
         clamped = sp.clamp(len(ctx.series))
-        for segment in inner_eval(clone, ctx, sp, refs):
-            if not clamped.contains(segment.start, segment.end):
-                key = (op.op_id, "TRX204")
-                if key not in reported:
-                    reported.add(key)
-                    diags.append(Diagnostic(
-                        "TRX204", Severity.ERROR,
-                        f"{op.describe()} emitted segment "
-                        f"[{segment.start}, {segment.end}] outside its "
-                        f"search space {clamped.describe()}",
-                        owner=op.describe(),
-                        hint="operators must shrink, never escape, the "
-                             "search space handed to them"))
-            elif not clone.window.accepts(ctx.series, segment.start,
-                                          segment.end):
-                key = (op.op_id, "TRX205")
-                if key not in reported:
-                    reported.add(key)
-                    diags.append(Diagnostic(
-                        "TRX205", Severity.ERROR,
-                        f"{op.describe()} emitted segment "
-                        f"[{segment.start}, {segment.end}] violating its "
-                        f"embedded window [{clone.window.describe()}]",
-                        owner=op.describe(),
-                        hint="apply the operator's window before emitting "
-                             "segments"))
+        for segment in method(op, ctx, sp, refs):
+            self._check(op, ctx.series, clamped, segment)
             yield segment
 
-    # Instance attribute shadows the class method for ``clone`` only.
-    clone.eval = checked_eval  # type: ignore[method-assign]
-    return clone
+    def observe_spaces(self, op: PhysicalOperator, method: Callable,
+                       ctx: ExecContext, spaces: Sequence[SearchSpace],
+                       refs: Env) -> List[List[Segment]]:
+        found = method(op, ctx, spaces, refs)
+        for sp, segments in zip(spaces, found):
+            clamped = sp.clamp(len(ctx.series))
+            for segment in segments:
+                self._check(op, ctx.series, clamped, segment)
+        return found
+
+    def _check(self, op: PhysicalOperator, series: Series,
+               clamped: SearchSpace, segment: Segment) -> None:
+        if not clamped.contains(segment.start, segment.end):
+            code, broken, hint = (
+                "TRX204", f"outside its search space {clamped.describe()}",
+                "operators must shrink, never escape, the search space "
+                "handed to them")
+        elif not op.window.accepts(series, segment.start, segment.end):
+            code, broken, hint = (
+                "TRX205",
+                f"violating its embedded window [{op.window.describe()}]",
+                "apply the operator's window before emitting segments")
+        else:
+            return
+        if (op.op_id, code) not in self.reported:
+            self.reported.add((op.op_id, code))
+            self.diags.append(Diagnostic(
+                code, Severity.ERROR,
+                f"{op.describe()} emitted segment "
+                f"[{segment.start}, {segment.end}] {broken}",
+                owner=op.describe(), hint=hint))
 
 
 def verify_execution_contracts(plan: PhysicalOperator, series: Series,
                                max_matches: Optional[int] = None) \
         -> List[Diagnostic]:
-    """Run an instrumented copy of ``plan`` over ``series`` and report
-    every operator that emits a segment outside its search space (TRX204)
-    or violating its embedded window (TRX205).
+    """Run ``plan`` over ``series`` and report every operator entry —
+    ``eval`` or ``eval_spaces`` — that emits a segment outside its search
+    space (TRX204) or violating its embedded window (TRX205).
 
     Each (operator, code) pair is reported at most once.  ``max_matches``
     optionally bounds how many root emissions are drawn.
     """
     diags: List[Diagnostic] = []
-    reported: Set[Tuple[int, str]] = set()
-    checked = _instrument(plan, diags, reported)
-    ctx = ExecContext(series)
+    ctx = ExecContext(series, metrics=_ContractCheck(diags))
     sp = SearchSpace.full(len(series))
-    for count, _ in enumerate(checked.eval(ctx, sp, {})):
+    for count, _ in enumerate(plan.eval(ctx, sp, {})):
         if max_matches is not None and count + 1 >= max_matches:
             break
     return diags

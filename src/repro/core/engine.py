@@ -34,7 +34,7 @@ from repro.core.sink import truncate_matches
 from repro.errors import (PlanError, QueryLintError, QueryTimeout,
                           error_kind)
 from repro.exec.base import PhysicalOperator
-from repro.exec.metrics import RunMetrics, instrument_plan
+from repro.exec.metrics import RunMetrics
 from repro.lang.query import Query, compile_query
 from repro.plan.logical import LogicalNode, build_logical_plan
 from repro.plan.prefilter import (PrefilterPlan, extract_prefilter,
@@ -249,13 +249,10 @@ class TRexEngine:
             counters: Dict[str, object] = dict(self.plan_cache.counters())
             counters["plan"] = cache_status
             result.plan_cache = counters
-        # Analyze mode evaluates an instrumented shallow copy; the
-        # original plan is untouched, so disabled mode pays nothing.
-        exec_plan = instrument_plan(plan) if config.analyze else plan
         pf_totals: Counter = Counter()
         try:
             total_metrics = self._settle(
-                result, plan, exec_plan, query, series_list, deadline,
+                result, plan, query, series_list, deadline,
                 pfplan if config.prefilter else None, pf_totals)
         except KeyboardInterrupt:
             # SIGINT mid-query: under 'raise' the interrupt propagates
@@ -306,9 +303,8 @@ class TRexEngine:
         return result
 
     def _settle(self, result: QueryResult, plan: PhysicalOperator,
-                exec_plan: PhysicalOperator, query: Query,
-                series_list: List[Series], deadline: Optional[float],
-                pfplan: Optional[PrefilterPlan],
+                query: Query, series_list: List[Series],
+                deadline: Optional[float], pfplan: Optional[PrefilterPlan],
                 pf_totals: Counter) -> Optional[RunMetrics]:
         """The one per-series pipeline: walk series in order and settle.
 
@@ -354,8 +350,8 @@ class TRexEngine:
                     seg_remaining is not None
                     and self._needs_replay(outcome, seg_remaining)):
                 outcome = par.run_series(
-                    exec_plan, plan, query,
-                    task(index, series, remaining, seg_remaining), config)
+                    plan, query, task(index, series, remaining,
+                                      seg_remaining), config)
             if outcome.prefilter:
                 pf_totals.update(outcome.prefilter)
             if outcome.error is not None and config.on_error == "raise":

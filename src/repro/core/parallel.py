@@ -42,7 +42,7 @@ from repro.core.config import EngineConfig
 from repro.core.sink import MatchSink
 from repro.errors import TRexError, WorkerCrashed
 from repro.exec.base import ExecContext, PhysicalOperator
-from repro.exec.metrics import RunMetrics, instrument_plan
+from repro.exec.metrics import RunMetrics
 from repro.lang.query import Query
 from repro.plan.prefilter import PrefilterPlan, evaluate_with_prefilter
 from repro.testing import faults as _faults
@@ -86,13 +86,12 @@ class SeriesTask:
     prefilter: Optional[PrefilterPlan] = None
 
 
-def run_series(plan: PhysicalOperator, raw_plan: PhysicalOperator,
-               query: Query, task: SeriesTask,
+def run_series(plan: PhysicalOperator, query: Query, task: SeriesTask,
                config: EngineConfig) -> SeriesOutcome:
     """Evaluate ``plan`` over one series, capturing any failure.
 
-    ``plan`` may be the instrumented copy (analyze mode); ``raw_plan``
-    is the original tree metrics are finalized against.  The sink's
+    Under ``config.analyze`` the context carries a :class:`RunMetrics`,
+    which every operator entry reports to.  The sink's
     partial harvest (sorted, duplicate-free — a subset of the clean
     run's matches) is returned alongside a captured failure.  The
     ``data.series`` fault point fires here, so chaos tests exercise the
@@ -129,7 +128,7 @@ def run_series(plan: PhysicalOperator, raw_plan: PhysicalOperator,
     seconds = time.perf_counter() - t0
     metrics = ctx.metrics if ctx is not None else None
     if metrics is not None:
-        metrics.finalize(raw_plan)
+        metrics.finalize(plan)
     return SeriesOutcome(
         index=task.index,
         matches=sink.finish(),
@@ -190,8 +189,7 @@ def _process_worker(payload: tuple) -> SeriesOutcome:
         # perf_counter epochs are per-process: re-base the deadline on
         # the remaining budget measured at dispatch time.
         task.deadline = time.perf_counter() + deadline_remaining
-    exec_plan = instrument_plan(plan) if config.analyze else plan
-    outcome = run_series(exec_plan, plan, query, task, config)
+    outcome = run_series(plan, query, task, config)
     outcome.error = _pickle_safe_error(outcome.error)
     return outcome
 

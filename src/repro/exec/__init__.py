@@ -7,14 +7,14 @@ from repro.exec.concat import (LeftProbeConcat, RightProbeConcat,
                                SortMergeConcat, WildWindowConcat)
 from repro.exec.filter_op import FilterOp
 from repro.exec.kleene import MaterializeKleene
-from repro.exec.metrics import OpMetrics, RunMetrics, instrument_plan
+from repro.exec.metrics import OpMetrics, RunMetrics
 from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.exec.special import SubPatternCache
 
 __all__ = [
     "ExecContext", "PhysicalOperator",
-    "OpMetrics", "RunMetrics", "instrument_plan",
+    "OpMetrics", "RunMetrics",
     "SegGenWindow", "SegGenFilter", "SegGenIndexing",
     "SortMergeConcat", "RightProbeConcat", "LeftProbeConcat",
     "WildWindowConcat",

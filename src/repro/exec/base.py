@@ -116,7 +116,8 @@ class ExecContext:
         #: Absolute time.perf_counter() deadline, or None for no limit.
         self.deadline = deadline
         self._ticks = 0
-        #: Per-operator metric sink (EXPLAIN ANALYZE); None when disabled.
+        #: The metric sink every operator entry reports to (EXPLAIN
+        #: ANALYZE, the TRX204/205 contract checks); None when disabled.
         self.metrics = metrics
         #: Remaining segment/materialization budget, or None for no limit.
         #: Hot loops guard their charge() calls with an
@@ -239,14 +240,15 @@ def refs_key(refs: Env, needed: FrozenSet[str]) -> tuple:
                         if name in refs))
 
 
-def _with_fault_point(eval_fn):
-    """Wrap an operator class's ``eval`` with its named fault point.
+def _entry_eval(method):
+    """The operator entry around a class's ``eval``: its fault point,
+    then the context's metric sink (``observe_eval``), if any.
 
-    The wrapper is a plain function (not a generator), so a raising
-    fault fires at the ``eval()`` call itself — before any iteration —
-    matching where a real construction-time operator bug would surface.
+    A plain function (not a generator), so a raising fault fires at the
+    ``eval()`` call itself — before any iteration — matching where a
+    real construction-time operator bug would surface.
     """
-    @functools.wraps(eval_fn)
+    @functools.wraps(method)
     def eval(self, ctx, sp, refs):
         if _faults.ENABLED:
             # Resolved from the *instance's* class so operators that
@@ -256,10 +258,29 @@ def _with_fault_point(eval_fn):
             _faults.fire(
                 f"exec.{getattr(klass, 'name', None) or klass.__name__}"
                 f".eval")
-        return eval_fn(self, ctx, sp, refs)
+        if ctx.metrics is None:
+            return method(self, ctx, sp, refs)
+        return ctx.metrics.observe_eval(self, method, ctx, sp, refs)
 
-    eval._fault_wrapped = True  # type: ignore[attr-defined]
+    eval.operator_entry = True  # type: ignore[attr-defined]
     return eval
+
+
+def _entry_eval_spaces(method):
+    """The operator entry around an ``eval_spaces`` override.  Armed,
+    a fault answers each space through the per-space default (so
+    through the operator's ``eval`` entry); otherwise the context's
+    metric sink (``observe_spaces``), if any, gets the call."""
+    @functools.wraps(method)
+    def eval_spaces(self, ctx, spaces, refs):
+        if _faults.ENABLED:
+            return PhysicalOperator.eval_spaces(self, ctx, spaces, refs)
+        if ctx.metrics is None:
+            return method(self, ctx, spaces, refs)
+        return ctx.metrics.observe_spaces(self, method, ctx, spaces, refs)
+
+    eval_spaces.operator_entry = True  # type: ignore[attr-defined]
+    return eval_spaces
 
 
 class PhysicalOperator(ABC):
@@ -293,17 +314,20 @@ class PhysicalOperator(ABC):
         self.op_id = next(_op_ids)
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Give every concrete operator class a named fault point.
-
-        ``eval`` is wrapped once at class-creation time so chaos tests
-        can inject at ``exec.<OpName>.eval`` (see repro.testing.faults);
-        disarmed, the wrapper is one module-flag check per eval call.
+        """Wrap ``eval`` and any ``eval_spaces`` override in the operator
+        entry, once per class: the one place faults are injected
+        (``exec.<OpName>.eval``, see repro.testing.faults) and
+        ``ctx.metrics`` observes operators (EXPLAIN ANALYZE, the
+        TRX204/205 contract checks).  Disabled, an entry costs one
+        module-flag check and one ``ctx.metrics is None`` check.
         """
         super().__init_subclass__(**kwargs)
-        eval_fn = cls.__dict__.get("eval")
-        if eval_fn is not None and not getattr(eval_fn, "_fault_wrapped",
-                                               False):
-            cls.eval = _with_fault_point(eval_fn)
+        for attr, wrap in (("eval", _entry_eval),
+                           ("eval_spaces", _entry_eval_spaces)):
+            method = cls.__dict__.get(attr)
+            if method is not None and not getattr(method, "operator_entry",
+                                                  False):
+                setattr(cls, attr, wrap(method))
 
     @abstractmethod
     def eval(self, ctx: ExecContext, sp: SearchSpace,
@@ -318,8 +342,8 @@ class PhysicalOperator(ABC):
         call (:meth:`probe_all`).  Leaves override this to enumerate and
         evaluate every space's candidates together; the answer, counters
         included, is always the per-space ``eval`` one.  With a fault
-        armed, :meth:`probe_all` calls this default instead of the
-        override: fault points live in the per-space call graph.
+        armed, an override's entry wrapper calls this default instead:
+        fault points live in the per-space call graph.
         """
         return [list(self.eval(ctx, sp, refs)) for sp in spaces]
 
@@ -423,11 +447,8 @@ class PhysicalOperator(ABC):
             if group is None:
                 group = misses[needed] = (child_refs, {})
             group[1][space] = key
-        # Armed, every space goes through the child's own ``eval``.
-        answer = functools.partial(PhysicalOperator.eval_spaces, child) \
-            if _faults.ENABLED else child.eval_spaces
         for child_refs, pending in misses.values():
-            for key, found in zip(pending.values(), answer(
+            for key, found in zip(pending.values(), child.eval_spaces(
                     ctx, list(pending), child_refs)):
                 ctx.tick()
                 ctx.probe_cache_put(key, found)

@@ -1,9 +1,11 @@
 """EXPLAIN ANALYZE: per-operator runtime metrics (observability layer).
 
-The engine's ``analyze`` mode wraps every node of a physical plan in a
-timing shim (:func:`instrument_plan`) and collects one :class:`OpMetrics`
-record per operator on the :class:`~repro.exec.base.ExecContext`, keyed by
-``op_id``:
+The engine's ``analyze`` mode puts a :class:`RunMetrics` on the
+:class:`~repro.exec.base.ExecContext`.  Every operator class's entry
+wrapper (``PhysicalOperator.__init_subclass__``) hands its ``eval`` and
+``eval_spaces`` calls to :meth:`RunMetrics.observe_eval` and
+:meth:`RunMetrics.observe_spaces`, which collect one :class:`OpMetrics`
+record per operator, keyed by ``op_id``:
 
 * ``eval_calls`` — how many times the operator's ``eval`` or
   ``eval_spaces`` was entered (a probe operator answers all its misses
@@ -28,21 +30,22 @@ record per operator on the :class:`~repro.exec.base.ExecContext`, keyed by
   part of a record that may differ between executions that must
   otherwise agree (docs/ENGINE_CONTRACTS.md).
 
-Overhead guarantee: when analyze mode is off the engine evaluates the
-*uninstrumented* plan — the shim does not exist — and the only residual
-cost is one ``ctx.metrics is None`` check at each operator-reported event
-site (see docs/OBSERVABILITY.md).
+The plan is never copied: analyze mode runs the same plan objects as
+every other run (a cached plan is shared), and the records are reported
+against that plan.  Overhead guarantee: with analyze mode off, the
+residual cost is one ``ctx.metrics is None`` check per operator entry
+and one at each operator-reported event site (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Sequence
+from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence)
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.plan.search_space import SearchSpace
@@ -238,47 +241,23 @@ class RunMetrics:
         """Flat per-operator records, ordered by ``op_id``."""
         return [self.ops[op_id].to_dict() for op_id in sorted(self.ops)]
 
-    @property
-    def total_time_seconds(self) -> float:
-        return sum(record.self_seconds for record in self.ops.values())
+    def observe_eval(self, op: PhysicalOperator, method: Callable,
+                     ctx: ExecContext, sp: SearchSpace,
+                     refs: Env) -> Iterator[Segment]:
+        """``method(op, ctx, sp, refs)`` — an operator's ``eval``, handed
+        over by its entry wrapper — timed and counted on ``op``'s record.
 
-
-_CHILD_ATTRS = ("child", "left", "right")
-
-
-def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
-    """Shallow-copy ``plan`` wrapping every ``eval`` — and every
-    ``eval_spaces`` an operator overrides — with metric capture.
-
-    The copies share all immutable state (windows, conditions, ``op_id``)
-    with the original nodes, so metrics recorded while running the
-    instrumented copy can be reported against the original plan tree.
-    Only the time spent *inside* each operator's iterator is charged to
-    it; consumer-side gaps between ``next()`` calls are not.
-    """
-    clone = copy.copy(plan)
-    # trex: no-tick(iterates the three fixed child attribute names)
-    for attr in _CHILD_ATTRS:
-        child = getattr(clone, attr, None)
-        if isinstance(child, PhysicalOperator):
-            setattr(clone, attr, instrument_plan(child))
-    inner_eval = type(plan).eval
-
-    def analyzed_eval(ctx: ExecContext, sp: SearchSpace,
-                      refs: Env) -> Iterator[Segment]:
-        metrics = ctx.metrics
-        if metrics is None:
-            yield from inner_eval(clone, ctx, sp, refs)
-            return
-        record = metrics.for_op(clone)
+        Only the time spent *inside* the operator's iterator is charged
+        to it; consumer-side gaps between ``next()`` calls are not.
+        """
+        record = self.for_op(op)
         record.eval_calls += 1
         record.observe_space(sp)
         t0 = time.perf_counter()
         # Timed separately: non-generator evals (SubPatternCache) do
         # their materialization work in the call itself.
-        iterator = inner_eval(clone, ctx, sp, refs)
+        iterator = method(op, ctx, sp, refs)
         record.time_seconds += time.perf_counter() - t0
-        # trex: no-tick(drains the wrapped operator's ticking iterator)
         while True:
             t0 = time.perf_counter()
             try:
@@ -290,39 +269,31 @@ def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
             record.segments_out += 1
             yield segment
 
-    # Instance attribute shadows the class method for ``clone`` only.
-    clone.eval = analyzed_eval  # type: ignore[method-assign]
-    inner_spaces = type(plan).eval_spaces
-    if inner_spaces is PhysicalOperator.eval_spaces:
-        return clone  # the default answers each space through ``eval``
-
-    def analyzed_eval_spaces(ctx: ExecContext, spaces: Sequence[SearchSpace],
-                             refs: Env) -> List[List[Segment]]:
-        metrics = ctx.metrics
-        if metrics is None:
-            return inner_spaces(clone, ctx, spaces, refs)
-        record = metrics.for_op(clone)
+    def observe_spaces(self, op: PhysicalOperator, method: Callable,
+                       ctx: ExecContext, spaces: Sequence[SearchSpace],
+                       refs: Env) -> List[List[Segment]]:
+        """``method(op, ctx, spaces, refs)`` — an ``eval_spaces``
+        override — as one entry answering every space of the call."""
+        record = self.for_op(op)
         record.eval_calls += 1
-        # trex: no-tick(one record update per space the caller enumerated)
         for sp in spaces:
             record.observe_space(sp)
         t0 = time.perf_counter()
-        found = inner_spaces(clone, ctx, spaces, refs)
+        found = method(op, ctx, spaces, refs)
         record.time_seconds += time.perf_counter() - t0
         record.segments_out += sum(map(len, found))
         return found
 
-    clone.eval_spaces = analyzed_eval_spaces  # type: ignore[method-assign]
-    return clone
 
+def instrument_plan(plan: PhysicalOperator) -> PhysicalOperator:
+    """``plan`` itself: every operator entry already reports to
+    ``ctx.metrics``, so a plan needs no instrumenting.
 
-def merged_metrics(per_series: List[Optional[RunMetrics]]) -> RunMetrics:
-    """Aggregate per-series run metrics into one cross-series view."""
-    total = RunMetrics()
-    for metrics in per_series:
-        if metrics is not None:
-            total.merge(metrics)
-    return total
+    Kept only because ``benchmarks/trex_bench/layers.py`` resolves this
+    name by dotted path (its per-layer attribution goes null without
+    it); it goes when that module becomes a reader of the metrics.
+    """
+    return plan
 
 
 # ---------------------------------------------------------------------------

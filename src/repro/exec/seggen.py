@@ -46,14 +46,10 @@ class SegGenWindow(PhysicalOperator):
         if sp.is_empty():
             return
         payload_name = self.var_name if self.var_name in self.publish else None
-        metrics = ctx.metrics
-        record = metrics.for_op(self) if metrics is not None else None
         for start, end in self.window.iterate_box(ctx.series, sp.s_lo, sp.s_hi,
                                               sp.e_lo, sp.e_hi):
             ctx.tick()
             ctx.stats["segments_emitted"] += 1
-            if record is not None:
-                record.counters["segments_emitted"] += 1
             if payload_name is not None:
                 yield Segment(start, end, {payload_name: (start, end)})
             else:
@@ -137,8 +133,6 @@ class _ConditionLeaf(PhysicalOperator):
                 record.counters["condition_evals"] += 1
             if E.evaluate_condition(var.condition, ectx):
                 ctx.stats["segments_emitted"] += 1
-                if record is not None:
-                    record.counters["segments_emitted"] += 1
                 if publish_self:
                     yield Segment(start, end, {var.name: (start, end)})
                 else:

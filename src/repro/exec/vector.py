@@ -751,8 +751,6 @@ def _eval_batch(ctx: "ExecContext", record, bound: _Bound,
         if k == last:
             return
         stats["segments_emitted"] += 1
-        if rec_counters is not None:
-            rec_counters["segments_emitted"] += 1
         start = hit_starts[k]
         end = hit_ends[k]
         if payload_name is not None:
@@ -866,8 +864,6 @@ def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
                       if value})
         if record is not None:
             record.counters["condition_evals"] += len(starts)
-            if len(hits):
-                record.counters["segments_emitted"] += len(hits)
         for owner, start, end in zip(owners[hits].tolist(),
                                      starts[hits].tolist(),
                                      ends[hits].tolist()):

@@ -428,7 +428,8 @@ def _baseline_backend(label: str,
 #: The engine side of the matrix, as :class:`EngineConfig` overrides on
 #: the product defaults (pinned to ``serial`` so the environment cannot
 #: redefine a backend): planners x sharing, the process pool (the settle
-#: loop's accept/replay arm) and the two differential toggles.
+#: loop's accept/replay arm), the two differential toggles and analyze
+#: mode (every operator entry handed to the metric sink).
 TREX_BACKENDS: Dict[str, Dict[str, object]] = {
     "trex:cost:auto": {},
     "trex:cost:on": {"sharing": "on"},
@@ -440,6 +441,7 @@ TREX_BACKENDS: Dict[str, Dict[str, object]] = {
     "trex:process": {"executor": "process", "workers": 2},
     "trex:novec": {"vectorize": False},
     "trex:noprefilter": {"prefilter": False},
+    "trex:analyze": {"analyze": True},
 }
 
 #: The full backend matrix: the engine configurations above plus every
@@ -461,7 +463,7 @@ CORE_BACKENDS = ("trex:cost:auto", "trex:cost:on", "trex:cost:off",
                  "trex:noprefilter",
                  "trex-batch", "afa", "zstream")
 ROTATING_BACKENDS = ("trex:pr_right", "trex:sm_left", "trex:sm_right",
-                     "afa:off", "nested-afa", "opencep")
+                     "trex:analyze", "afa:off", "nested-afa", "opencep")
 
 
 @dataclass

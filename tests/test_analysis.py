@@ -18,7 +18,7 @@ from repro.analysis import (CATALOG, Diagnostic, Severity, analyze,
 from repro.analysis.diagnostics import Span
 from repro.errors import QueryLintError
 from repro.exec.base import PhysicalOperator
-from repro.exec.concat import SortMergeConcat
+from repro.exec.concat import RightProbeConcat, SortMergeConcat
 from repro.exec.not_op import MaterializeNot
 from repro.exec.seggen import SegGenFilter, SegGenWindow
 from repro.lang.parser import parse_condition
@@ -361,6 +361,45 @@ def test_execution_contract_flags_space_escape():
     diags = verify_execution_contracts(plan, series)
     assert [d.code for d in diags] == ["TRX204"]
     assert "RogueSpace" in diags[0].message
+
+
+class _RogueSpacesOp(PhysicalOperator):
+    """Answers one space at a time correctly, but starts every
+    ``eval_spaces`` answer one point past its probe space."""
+
+    name = "RogueSpaces"
+
+    def eval(self, ctx, sp, refs):
+        sp = sp.clamp(len(ctx.series))
+        if not sp.is_empty():
+            yield Segment(sp.s_hi, max(sp.s_hi, sp.e_lo))
+
+    def eval_spaces(self, ctx, spaces, refs):
+        return [[Segment(sp.s_hi + 1, sp.e_hi)] if sp.s_hi < sp.e_hi
+                else [] for sp in spaces]
+
+
+def test_execution_contract_checks_eval_spaces_answers():
+    """A probed child answers through ``eval_spaces``; the contract
+    checks must see those answers too."""
+    rogue = _RogueSpacesOp(WILD)
+    plan = RightProbeConcat(
+        SegGenWindow(WindowConjunction([WindowSpec.point(1, 3)])), rogue,
+        0, WILD)
+    series = make_series(np.arange(10.0))
+    diags = verify_execution_contracts(plan, series)
+    assert [(d.code, d.owner) for d in diags] == [("TRX204", "RogueSpaces")]
+
+
+def test_every_operator_entry_is_wrapped():
+    """Faults, EXPLAIN ANALYZE and the contract checks observe operators
+    at one place: the class-level entry wrapper of ``eval`` and of every
+    ``eval_spaces`` override."""
+    for cls in discover_exec_operators():
+        assert getattr(cls.eval, "operator_entry", False), cls.__name__
+        if cls.eval_spaces is not PhysicalOperator.eval_spaces:
+            assert getattr(cls.eval_spaces, "operator_entry", False), \
+                cls.__name__
 
 
 def test_execution_contract_flags_window_violation():

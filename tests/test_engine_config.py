@@ -196,6 +196,28 @@ def test_fuzz_backends_are_config_overrides():
             == EngineConfig(executor="serial")] == ["trex:cost:auto"]
 
 
+#: Switch-like options no fuzz backend flips, each with why that is safe.
+UNFUZZED_SWITCHES = (
+    ("lint", "it only rejects a query or logs; it never changes a match"),
+    ("on_error", "it only acts on failures, which a correct run has none of"),
+)
+
+
+def test_every_switch_has_a_fuzz_backend():
+    """Each ``bool`` or ``choices`` option is flipped from its default by
+    some ``trex:*`` backend, or named in :data:`UNFUZZED_SWITCHES`."""
+    default = EngineConfig(executor="serial")
+    flipped = {name for overrides in TREX_BACKENDS.values()
+               for name, value in overrides.items()
+               if value != getattr(default, name)}
+    switches = {spec.name for spec in FIELDS
+                if spec.metadata["kind"] is bool
+                or spec.metadata["choices"] is not None}
+    exempt = {name for name, _ in UNFUZZED_SWITCHES}
+    assert switches - exempt <= flipped
+    assert exempt <= switches and not exempt & flipped
+
+
 class TestServeDrift:
     """What the hand-written serve mirror had got wrong."""
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import TRexEngine
+from repro.core.plancache import PlanCache
 from repro.exec.base import ExecContext
-from repro.exec.metrics import OpMetrics, RunMetrics, instrument_plan
+from repro.exec.metrics import OpMetrics, RunMetrics
 from repro.exec.seggen import SegGenWindow
 from repro.lang.query import compile_query
 from repro.lang.windows import WindowConjunction, WindowSpec
@@ -37,37 +38,50 @@ def run(optimizer="cost", analyze=True, **kwargs):
 
 
 class TestInstrumentPlan:
-    def test_original_plan_untouched(self):
-        op = SegGenWindow(
-            WindowConjunction([WindowSpec.point(1, 2)]), "W")
-        clone = instrument_plan(op)
-        assert clone is not op
-        assert clone.op_id == op.op_id
-        # The original still uses the class-level eval (no shadow).
-        assert "eval" not in vars(op)
-        assert "eval" in vars(clone)
+    """Every plan reports to ``ctx.metrics`` through the operator entry;
+    nothing copies or instruments a plan."""
+
+    def test_cached_plan_shared_untouched(self):
+        cache = PlanCache()
+        query, series = compile_query(QUERY), series_list()
+        analyzed = TRexEngine(analyze=True, plan_cache=cache)
+        first = analyzed.execute_query(query, series)
+        second = analyzed.execute_query(query, series)
+        assert second.plan_cache["plan"] == "hit"
+        assert second.all_matches() == first.all_matches()
+        plan, _, _ = cache.get_plan(
+            cache.plan_key(query, analyzed.config, series))
+        pending = [plan]
+        while pending:
+            op = pending.pop()
+            assert "eval" not in vars(op)
+            assert "eval_spaces" not in vars(op)
+            pending.extend(op.children())
+        plain = TRexEngine(plan_cache=cache).execute_query(query, series)
+        assert plain.plan_cache["plan"] == "hit"
+        assert plain.all_matches() == first.all_matches()
+        assert plain.stats == first.stats
+        assert plain.op_metrics is None
 
     def test_uninstrumented_context_passthrough(self):
-        """The instrumented plan works even without a metric sink."""
+        """An observed entry yields what the unobserved one yields."""
         series = make_series([1, 2, 3, 4])
         op = SegGenWindow(
             WindowConjunction([WindowSpec.point(1, 2)]), "W")
-        clone = instrument_plan(op)
-        ctx = ExecContext(series)
-        got = sorted({seg.bounds
-                      for seg in clone.eval(ctx, SearchSpace.full(4), {})})
-        want = sorted({seg.bounds
-                       for seg in op.eval(ctx, SearchSpace.full(4), {})})
+        observed = ExecContext(series, metrics=RunMetrics())
+        got = sorted({seg.bounds for seg in op.eval(
+            observed, SearchSpace.full(4), {})})
+        want = sorted({seg.bounds for seg in op.eval(
+            ExecContext(series), SearchSpace.full(4), {})})
         assert got == want
 
     def test_records_calls_segments_and_spaces(self):
         series = make_series([1, 2, 3, 4])
         op = SegGenWindow(
             WindowConjunction([WindowSpec.point(1, 2)]), "W")
-        clone = instrument_plan(op)
         metrics = RunMetrics()
         ctx = ExecContext(series, metrics=metrics)
-        segments = list(clone.eval(ctx, SearchSpace.full(4), {}))
+        segments = list(op.eval(ctx, SearchSpace.full(4), {}))
         record = metrics.ops[op.op_id]
         assert record.eval_calls == 1
         assert record.segments_out == len(segments) == 5

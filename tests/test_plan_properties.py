@@ -50,7 +50,7 @@ QUERIES = {
 
 
 def run_plan(plan, series, query):
-    outcome = run_series(plan, plan, query, SeriesTask(
+    outcome = run_series(plan, query, SeriesTask(
         index=0, series=series, limit=None, segment_budget=None,
         deadline=None), EngineConfig())
     if outcome.error is not None:

@@ -20,7 +20,7 @@ from repro.errors import ResourceBudgetExceeded
 from repro.exec.and_or import LeftProbeAnd, RightProbeAnd
 from repro.exec.base import ExecContext
 from repro.exec.concat import LeftProbeConcat, RightProbeConcat
-from repro.exec.metrics import RunMetrics, instrument_plan
+from repro.exec.metrics import RunMetrics
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.exec.not_op import ProbeNot
 from repro.exec.special import SubPatternCache
@@ -164,18 +164,17 @@ def probed(host, child, series, jobs):
 
 def test_faults_armed_answer_each_space_through_eval():
     """Fault points live in the scalar call graph: with any fault armed,
-    ``probe_all`` answers every missed space through the leaf's own
-    ``exec.<Op>.eval`` point — the same answer, and EXPLAIN ANALYZE sees
-    one ``eval`` per space."""
+    the leaf's ``eval_spaces`` entry answers every missed space through
+    its own ``exec.<Op>.eval`` point — the same answer, and EXPLAIN
+    ANALYZE sees one ``eval`` per space."""
     op, series = rising_leaf()
-    leaf = instrument_plan(op)
-    host = RightProbeConcat(SegGenWindow(WindowConjunction.wild()), leaf,
+    host = RightProbeConcat(SegGenWindow(WindowConjunction.wild()), op,
                             0, WindowConjunction.wild())
     jobs = [(SearchSpace.exact(s, s + 6), Segment(0, s)) for s in range(5)]
-    found, stats, record = probed(host, leaf, series, jobs)
+    found, stats, record = probed(host, op, series, jobs)
     assert record.eval_calls == 1
     with faults.inject("exec.SegGenFilter.eval", times=0) as spec:
-        armed = probed(host, leaf, series, jobs)
+        armed = probed(host, op, series, jobs)
     assert spec.hits == len(jobs)
     assert armed[:2] == (found, stats)
     assert armed[2].eval_calls == armed[2].spaces == len(jobs)
@@ -187,7 +186,7 @@ def test_shim_counts_one_entry_per_coalesced_call():
     spaces.append(SearchSpace(30, 30, 31, 45))
     metrics = RunMetrics()
     ctx = ExecContext(series, metrics=metrics)
-    found = instrument_plan(op).eval_spaces(ctx, spaces, {})
+    found = op.eval_spaces(ctx, spaces, {})
     record = metrics.ops[op.op_id]
     assert record.eval_calls == 1
     assert record.spaces == len(spaces)

@@ -16,7 +16,7 @@ from repro.core.engine import TRexEngine
 from repro.errors import PlanError, QueryTimeout
 from repro.exec import vector
 from repro.exec.base import ExecContext
-from repro.exec.metrics import RunMetrics, instrument_plan
+from repro.exec.metrics import RunMetrics
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.lang.parser import parse_condition
 from repro.lang.query import VarDef, compile_query
@@ -402,18 +402,17 @@ class TestPerOpMetrics:
     both paths (docs/OBSERVABILITY.md)."""
 
     def leaf_record(self, op, series, vectorize):
-        clone = instrument_plan(op)
         metrics = RunMetrics()
         ctx = ExecContext(series, metrics=metrics, vectorize=vectorize)
-        out = [s.bounds for s in clone.eval(
+        out = [s.bounds for s in op.eval(
             ctx, SearchSpace.full(len(series)), {})]
         record = metrics.ops[op.op_id]
-        return out, dict(record.counters)
+        return out, dict(record.counters), record.segments_out
 
     def test_window_leaf_counters(self, wave):
         op = SegGenWindow(WindowConjunction([WindowSpec.point(1, 2)]), "W")
-        out, counters = self.leaf_record(op, wave, False)
-        assert counters["segments_emitted"] == len(out) > 0
+        out, _, segments_out = self.leaf_record(op, wave, False)
+        assert segments_out == len(out) > 0
 
     @pytest.mark.parametrize("cls,cond", [
         (SegGenFilter, "max(S.val) - min(S.val) >= 1.0"),
@@ -421,13 +420,13 @@ class TestPerOpMetrics:
     ], ids=["filter", "indexing"])
     def test_cond_leaf_counters_identical(self, wave, cls, cond):
         op = seg_leaf(cls, cond)
-        s_out, s_counters = self.leaf_record(op, wave, False)
-        v_out, v_counters = self.leaf_record(op, wave, True)
+        s_out, s_counters, s_segments = self.leaf_record(op, wave, False)
+        v_out, v_counters, v_segments = self.leaf_record(op, wave, True)
         assert v_out == s_out
         # batch_calls/scalar_calls live beside, not in, the counters.
         assert v_counters == s_counters
         assert s_counters["condition_evals"] > 0
-        assert s_counters["segments_emitted"] == len(s_out) > 0
+        assert v_segments == s_segments == len(s_out) > 0
 
 
 class TestBudgetContract:
