@@ -201,28 +201,6 @@ def is_constant_iterable(expr: Optional[ast.expr]) -> bool:
     return False
 
 
-def body_has_call(node: ast.AST, names: frozenset) -> bool:
-    """Does any call with a terminal name in ``names`` occur in ``node``?"""
-    return any(name in names for name in collect_call_names(node))
-
-
-def loop_calls(loop: LoopSite) -> Set[str]:
-    """All call names in the loop body *and* its iterator expression.
-
-    A loop whose iterator is a ticking generator (``for seg in
-    child.eval(...)``) makes tick progress on every iteration even when
-    the body itself never ticks.
-    """
-    names = collect_call_names(loop.node)
-    return names
-
-
-def iterator_call_names(loop: LoopSite) -> Set[str]:
-    if loop.iter_expr is None:
-        return set()
-    return collect_call_names(loop.iter_expr)
-
-
 # -- ctx detection -----------------------------------------------------------
 
 

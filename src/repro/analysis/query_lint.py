@@ -120,13 +120,6 @@ def _var_duration_interval(var: VarDef) -> _Interval:
     return (lo, hi)
 
 
-def _has_segment(query: Query, node: P.Pattern) -> bool:
-    for sub in P.walk(node):
-        if isinstance(sub, P.VarRef) and query.var(sub.name).is_segment:
-            return True
-    return False
-
-
 def _pattern_interval(node: P.Pattern, query: Query, spans: _SpanMap,
                       diags: List[Diagnostic]) -> _Interval:
     """Duration interval of ``node``, reporting TRX011 where an ``&``

@@ -5,7 +5,9 @@ Both emit the windowed segments of the search space that the child does
 whole space and emits the complement; :class:`ProbeNot` probes the child
 per candidate segment with an exact search space, closing the child's
 iterator after the first hit.  The optimizer picks between them based on
-the number of candidates (Figure 10).
+the number of candidates (Figure 10).  Both walk the windowed
+candidates through the leaves' enumerator
+(:func:`repro.exec.vector.candidate_runs`).
 
 Thanks to the ``refs`` argument, the negated sub-pattern may freely
 reference variables matched outside the Not — no post-processing needed.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterator, Set, Tuple
 
+from repro.exec import vector
 from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
@@ -49,8 +52,8 @@ class MaterializeNot(_NotBase):
             if ctx.segment_budget is not None:
                 ctx.charge()
             matched.add(segment.bounds)
-        for start, end in self.window.iterate_box(ctx.series, sp.s_lo, sp.s_hi,
-                                              sp.e_lo, sp.e_hi):
+        for start, end in vector.pairs(
+                *vector.candidate_runs(self.window, ctx, sp)):
             ctx.tick()
             if (start, end) not in matched:
                 ctx.stats["segments_emitted"] += 1
@@ -68,8 +71,8 @@ class ProbeNot(_NotBase):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
-        for start, end in self.window.iterate_box(ctx.series, sp.s_lo, sp.s_hi,
-                                              sp.e_lo, sp.e_hi):
+        for start, end in vector.pairs(
+                *vector.candidate_runs(self.window, ctx, sp)):
             ctx.tick()
             probe = SearchSpace.exact(start, end)
             ctx.stats["probe_calls"] += 1

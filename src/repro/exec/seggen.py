@@ -8,12 +8,12 @@
   indexes (``index()``/``lookup()``), amortizing aggregate work across
   overlapping segments.
 
-Both condition leaves enumerate their candidates once
-(:func:`repro.exec.vector.candidate_runs`) and evaluate them with the
-batch kernels or the scalar loop, chosen per call from the candidate
-count (:func:`repro.exec.vector.try_eval`, docs/VECTORIZATION.md).  A
-probe operator's spaces arrive together through ``eval_spaces``, where
-the choice is made on the call's total
+Every leaf enumerates its candidates through the one enumerator
+(:func:`repro.exec.vector.candidate_runs`).  The condition leaves
+evaluate them with the batch kernels or the scalar loop, chosen per
+call from the candidate count (:func:`repro.exec.vector.try_eval`,
+docs/VECTORIZATION.md).  A probe operator's spaces arrive together
+through ``eval_spaces``, where the choice is made on the call's total
 (:func:`repro.exec.vector.eval_spaces`).
 """
 
@@ -46,8 +46,8 @@ class SegGenWindow(PhysicalOperator):
         if sp.is_empty():
             return
         payload_name = self.var_name if self.var_name in self.publish else None
-        for start, end in self.window.iterate_box(ctx.series, sp.s_lo, sp.s_hi,
-                                              sp.e_lo, sp.e_hi):
+        for start, end in vector.pairs(
+                *vector.candidate_runs(self.window, ctx, sp)):
             ctx.tick()
             ctx.stats["segments_emitted"] += 1
             if payload_name is not None:
@@ -94,8 +94,8 @@ class _ConditionLeaf(PhysicalOperator):
                                   self.vector_provider)
         if batched is None:
             self.note_scalar(ctx, record)
-            batched = self.scalar(ctx, vector.pairs(
-                *vector.candidate_runs(self, ctx, sp)), refs, record)
+            batched = self.scalar(ctx, vector.pairs(*vector.candidate_runs(
+                self.window, ctx, sp, not self.var.is_segment)), refs, record)
         yield from batched
 
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],

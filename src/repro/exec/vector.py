@@ -37,11 +37,12 @@ Budget contract: the deadline ticks the scalar loop pays per candidate
 are amortized as :meth:`ExecContext.tick_batch` — one deadline check per
 batch of at most :data:`BATCH_SIZE` candidates.
 
-Both evaluators are fed by one enumerator, :func:`candidate_runs`, and
-:func:`try_eval` picks between them per call from the number of
-admissible candidates (:data:`BATCH_CROSSOVER`).  :func:`eval_spaces`
-answers a probe operator's whole set of probe spaces in one call and
-picks on the coalesced total.
+Both evaluators are fed by one enumerator, :func:`candidate_runs` (the
+only enumerator of window candidates: ``SegGenWindow`` and the Not
+operators walk it too), and :func:`try_eval` picks between them per call
+from the number of admissible candidates (:data:`BATCH_CROSSOVER`).
+:func:`eval_spaces` answers a probe operator's whole set of probe spaces
+in one call and picks on the coalesced total.
 """
 
 from __future__ import annotations
@@ -533,26 +534,34 @@ class _EvalState:
 Run = Tuple[int, int, int]
 
 
-def candidate_runs(op: "PhysicalOperator", ctx: "ExecContext",
-                   sp: "SearchSpace") -> Tuple[int, Iterator[Run]]:
-    """``(order, runs)``: the admissible candidates of one leaf call.
+def candidate_runs(window: "WindowConjunction", ctx: "ExecContext",
+                   sp: "SearchSpace", point: bool = False
+                   ) -> Tuple[int, Iterator[Run]]:
+    """``(order, runs)``: the candidates of ``sp`` that ``window`` admits.
 
-    The one enumerator behind both evaluators.  A run ``(drive, lo,
-    hi)`` stands for ``hi - lo + 1`` consecutive candidates in the order
-    the scalar nested loop visits them (``WindowConjunction.iterate`` /
-    ``iterate_by_end`` with their driving-direction rule; the diagonal
-    for point variables).  ``sp`` must be clamped and non-empty.
+    The one enumerator of window candidates: every leaf and both Not
+    operators walk their search space through it.  A run ``(drive, lo,
+    hi)`` stands for ``hi - lo + 1`` consecutive candidates:
+
+    * the **diagonal** ``(i, i)`` when the candidates are points — a
+      point variable (``point``), or a window whose point bound caps
+      duration at 0 — in ascending ``i``;
+    * otherwise the **box**, driven by ends when the end range is the
+      narrower one (probe spaces pin the end), in ``(end, start)``
+      order, else by starts, in ``(start, end)`` order.
+
+    ``sp`` must be clamped and non-empty.
     """
-    if not op.var.is_segment:
-        return DIAGONAL, _diagonal_runs(op, ctx, sp)
+    if point or window.point_duration_bounds()[1] == 0:
+        return DIAGONAL, _diagonal_runs(window, ctx, sp)
     by_end = (sp.e_hi - sp.e_lo) < (sp.s_hi - sp.s_lo)
     return (BY_END if by_end else BY_START), _box_runs(
-        op.window, ctx.series, sp, by_end)
+        window, ctx.series, sp, by_end)
 
 
-# trex: no-tick(candidates tick in the evaluators; empty drives are free)
-def _box_runs(window, series: "Series", sp: "SearchSpace",
-              by_end: bool) -> Iterator[Run]:
+# trex: no-tick(candidates tick where consumed; empty drives are free)
+def _box_runs(window: "WindowConjunction", series: "Series",
+              sp: "SearchSpace", by_end: bool) -> Iterator[Run]:
     if by_end:
         for end in range(sp.e_lo, sp.e_hi + 1):
             lo, hi = window.start_range(series, end)
@@ -567,7 +576,7 @@ def _box_runs(window, series: "Series", sp: "SearchSpace",
                 yield start, lo, hi
 
 
-def _diagonal_runs(op: "PhysicalOperator", ctx: "ExecContext",
+def _diagonal_runs(window: "WindowConjunction", ctx: "ExecContext",
                    sp: "SearchSpace") -> Iterator[Run]:
     """Maximal runs of admissible ``(i, i)`` points.
 
@@ -575,7 +584,7 @@ def _diagonal_runs(op: "PhysicalOperator", ctx: "ExecContext",
     a time column is not finite — and a NaN duration fails both
     rejection tests of ``WindowConjunction.accepts``, so such a point is
     accepted whatever the bounds.  Every point of the range is ticked,
-    rejected ones included, as the scalar diagonal walk always did.
+    rejected ones included.
     """
     series = ctx.series
     lo, hi = max(sp.s_lo, sp.e_lo), min(sp.s_hi, sp.e_hi)
@@ -584,7 +593,7 @@ def _diagonal_runs(op: "PhysicalOperator", ctx: "ExecContext",
     ctx.tick_batch(hi - lo + 1)
     keep = None
     # trex: no-tick(bounded by the window's spec count)
-    for spec in op.window.specs:
+    for spec in window.specs:
         b_lo, b_hi = spec.bounds_on(series)
         if not (0 < b_lo or (b_hi is not None and 0 > b_hi)):
             continue
@@ -603,9 +612,10 @@ def _diagonal_runs(op: "PhysicalOperator", ctx: "ExecContext",
         yield lo + first, lo + first, lo + stop - 1
 
 
-# trex: no-tick(one pair per candidate; the scalar evaluator ticks each)
+# trex: no-tick(one pair per candidate; each consumer ticks per pair)
 def pairs(order: int, runs: Iterable[Run]) -> Iterator[Tuple[int, int]]:
-    """``(start, end)`` per candidate, for the scalar evaluator."""
+    """``(start, end)`` per candidate: the runs as the scalar evaluator,
+    ``SegGenWindow`` and the Not operators walk them."""
     for drive, lo, hi in runs:
         if order == BY_START:
             for end in range(lo, hi + 1):
@@ -777,7 +787,8 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
     bound = _leaf_bind(op, ctx, provider_kind)
     if bound is None:
         return None
-    order, runs = candidate_runs(op, ctx, sp)
+    order, runs = candidate_runs(op.window, ctx, sp,
+                                 not op.var.is_segment)
     head: List[Run] = []
     pending = 0
     # trex: no-tick(stops at the crossover; candidates tick when evaluated)
@@ -835,7 +846,8 @@ def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
         sp = sp.clamp(n)
         if sp.is_empty():
             continue
-        order, runs = candidate_runs(op, ctx, sp)
+        order, runs = candidate_runs(op.window, ctx, sp,
+                                     not op.var.is_segment)
         runs = list(runs)
         total += sum(hi - lo + 1 for _, lo, hi in runs)
         parts.append((owner, order, runs))

@@ -200,11 +200,3 @@ def disj(*parts: Pattern) -> Pattern:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def contains_kleene(pattern: Pattern) -> bool:
-    return any(isinstance(node, Kleene) for node in walk(pattern))
-
-
-def contains_not(pattern: Pattern) -> bool:
-    return any(isinstance(node, Not) for node in walk(pattern))

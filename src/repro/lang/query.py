@@ -94,16 +94,6 @@ class Query:
                 return True
         return False
 
-    def external_refs_of(self, node: P.Pattern) -> FrozenSet[str]:
-        """Variables referenced by conditions inside ``node`` but matched
-        outside of it."""
-        inside = {sub.name for sub in P.walk(node)
-                  if isinstance(sub, P.VarRef)}
-        needed = set()
-        for name in inside:
-            needed |= set(self.var(name).external_refs)
-        return frozenset(needed - inside)
-
     def referenced_variables(self) -> FrozenSet[str]:
         """Variables whose matched segments some condition references."""
         needed = set()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import BindError
 from repro.timeseries.series import Series
@@ -122,7 +122,16 @@ class WindowConjunction:
         self.specs = tuple(merged)
         #: The point specs folded into one (lo, hi) index-duration bound,
         #: so end_range/start_range only loop over the time specs.
-        self._point = self.point_duration_bounds()
+        lo = 0
+        hi: Optional[int] = None
+        for spec in merged:
+            if spec.kind != "point":
+                continue
+            lo = max(lo, int(math.ceil(spec.lo)))
+            if spec.hi is not None:
+                spec_hi = int(math.floor(spec.hi))
+                hi = spec_hi if hi is None else min(hi, spec_hi)
+        self._point = (lo, hi)
         self._timed = tuple(spec for spec in merged
                             if spec.kind != "point")
 
@@ -148,16 +157,7 @@ class WindowConjunction:
 
     def point_duration_bounds(self) -> Tuple[int, Optional[int]]:
         """Combined bounds on index duration from the point specs only."""
-        lo = 0
-        hi: Optional[int] = None
-        for spec in self.specs:
-            if spec.kind != "point":
-                continue
-            lo = max(lo, int(math.ceil(spec.lo)))
-            if spec.hi is not None:
-                spec_hi = int(math.floor(spec.hi))
-                hi = spec_hi if hi is None else min(hi, spec_hi)
-        return lo, hi
+        return self._point
 
     def end_range(self, series: Series, start: int) -> Tuple[int, int]:
         """Admissible ``[end_lo, end_hi]`` for segments starting at ``start``.
@@ -248,102 +248,6 @@ class WindowConjunction:
             if hi is not None and duration > hi:
                 return False
         return True
-
-    def iterate(self, series: Series, s_lo: int, s_hi: int, e_lo: int,
-                e_hi: int) -> Iterator[Tuple[int, int]]:
-        """All ``(start, end)`` pairs in the boxed search space that satisfy
-        the conjunction, in (start, end) lexicographic order."""
-        n = len(series)
-        s_lo = max(s_lo, 0)
-        s_hi = min(s_hi, n - 1)
-        for start in range(s_lo, s_hi + 1):
-            lo, hi = self.end_range(series, start)
-            lo = max(lo, e_lo, start)
-            hi = min(hi, e_hi, n - 1)
-            for end in range(lo, hi + 1):
-                yield start, end
-
-    def iterate_by_end(self, series: Series, s_lo: int, s_hi: int, e_lo: int,
-                       e_hi: int) -> Iterator[Tuple[int, int]]:
-        """Like :meth:`iterate` but driven by end positions.
-
-        Yields the same pair set ordered by (end, start).  Much cheaper
-        when the end range is far smaller than the start range (probe
-        search spaces fix the end)."""
-        n = len(series)
-        e_lo = max(e_lo, 0)
-        e_hi = min(e_hi, n - 1)
-        for end in range(e_lo, e_hi + 1):
-            lo, hi = self.start_range(series, end)
-            lo = max(lo, s_lo, 0)
-            hi = min(hi, s_hi, end)
-            for start in range(lo, hi + 1):
-                yield start, end
-
-    def iterate_box(self, series: Series, s_lo: int, s_hi: int, e_lo: int,
-                    e_hi: int) -> Iterator[Tuple[int, int]]:
-        """Iterate admissible pairs, picking the cheaper driving direction.
-
-        Start-driven iteration costs O(|S|) even when every start yields an
-        empty end range; probe search spaces often pin the end, so when the
-        end range is smaller the end-driven order wins."""
-        if (e_hi - e_lo) < (s_hi - s_lo):
-            return self.iterate_by_end(series, s_lo, s_hi, e_lo, e_hi)
-        return self.iterate(series, s_lo, s_hi, e_lo, e_hi)
-
-    def count_pairs(self, series: Series, s_lo: int, s_hi: int, e_lo: int,
-                    e_hi: int) -> int:
-        """Exact number of admissible pairs in the boxed search space."""
-        n = len(series)
-        s_lo = max(s_lo, 0)
-        s_hi = min(s_hi, n - 1)
-        total = 0
-        for start in range(s_lo, s_hi + 1):
-            lo, hi = self.end_range(series, start)
-            lo = max(lo, e_lo, start)
-            hi = min(hi, e_hi, n - 1)
-            if hi >= lo:
-                total += hi - lo + 1
-        return total
-
-    def selectivity(self, series: Series, s_lo: int, s_hi: int, e_lo: int,
-                    e_hi: int, max_starts: int = 256) -> float:
-        """Estimated fraction of the boxed search space that is admissible.
-
-        Exact when the start range is small; otherwise sampled over at most
-        ``max_starts`` evenly spaced start positions (closed-form-cheap, as
-        required by the cost model in Section 5.2).
-        """
-        n = len(series)
-        s_lo = max(s_lo, 0)
-        s_hi = min(s_hi, n - 1)
-        e_lo = max(e_lo, 0)
-        e_hi = min(e_hi, n - 1)
-        num_starts = s_hi - s_lo + 1
-        num_ends = e_hi - e_lo + 1
-        if num_starts <= 0 or num_ends <= 0:
-            return 0.0
-        box = num_starts * num_ends
-        if self.is_wild:
-            # Only the e >= s triangle constraint applies; count exactly.
-            admissible = 0
-            for start in range(s_lo, s_hi + 1):
-                lo = max(start, e_lo)
-                if e_hi >= lo:
-                    admissible += e_hi - lo + 1
-            return admissible / box
-        if num_starts <= max_starts:
-            return self.count_pairs(series, s_lo, s_hi, e_lo, e_hi) / box
-        step = max(1, num_starts // max_starts)
-        sampled = range(s_lo, s_hi + 1, step)
-        admissible = 0
-        for start in sampled:
-            lo, hi = self.end_range(series, start)
-            lo = max(lo, e_lo, start)
-            hi = min(hi, e_hi, n - 1)
-            if hi >= lo:
-                admissible += hi - lo + 1
-        return (admissible / len(list(sampled))) * num_starts / box
 
     def describe(self) -> str:
         if self.is_wild:

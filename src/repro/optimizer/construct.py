@@ -129,15 +129,6 @@ class BuildResult:
     op: PhysicalOperator
     lifted: List[LiftedCondition] = field(default_factory=list)
 
-    @property
-    def pending_refs(self) -> Set[str]:
-        needed: Set[str] = set()
-        for owner, condition in self.lifted:
-            from repro.lang import expr as E
-            needed |= set(E.external_references(condition, owner))
-            needed.add(owner)
-        return needed
-
 
 class Construction:
     """Stateless helpers bound to one query + publish set + sharing mode."""

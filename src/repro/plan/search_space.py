@@ -113,17 +113,6 @@ class SearchSpace:
         """Space for a Concatenation's right child (mirror of the left)."""
         return SearchSpace(self.s_lo + gap, self.e_hi, self.e_lo, self.e_hi)
 
-    def probe_right_of_concat(self, left_end: int, gap: int) -> "SearchSpace":
-        """Probe space for the right child given a matched left segment."""
-        return SearchSpace(left_end + gap, left_end + gap,
-                           self.e_lo, self.e_hi)
-
-    def probe_left_of_concat(self, right_start: int,
-                             gap: int) -> "SearchSpace":
-        """Probe space for the left child given a matched right segment."""
-        return SearchSpace(self.s_lo, self.s_hi,
-                           right_start - gap, right_start - gap)
-
     def kleene_child(self) -> "SearchSpace":
         """Space handed to a Kleene's child: anywhere within the span."""
         return SearchSpace(self.s_lo, self.e_hi, self.s_lo, self.e_hi)

@@ -177,7 +177,3 @@ class AdmissionController:
             tenants = dict(self._tenants)
         return {name: state.snapshot() for name, state in sorted(
             tenants.items())}
-
-    def total_in_flight(self) -> int:
-        with self._lock:
-            return sum(state.in_flight for state in self._tenants.values())

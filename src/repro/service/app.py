@@ -58,7 +58,8 @@ from repro.timeseries.table import Table
 
 _logger = logging.getLogger(__name__)
 
-#: HTTP status per coarse error kind (repro.errors.error_kind).
+#: HTTP status per coarse error kind (repro.errors.error_kind) of an
+#: engine error; ``_error_response`` maps every ServiceError itself.
 _STATUS_BY_KIND = {
     "bind": 400,
     "plan": 422,
@@ -67,9 +68,6 @@ _STATUS_BY_KIND = {
     "engine-lint": 400,
     "timeout": 408,
     "budget": 408,
-    "admission": 429,
-    "overload": 503,
-    "service": 503,
     "execution": 500,
     "internal": 500,
 }

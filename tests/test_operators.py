@@ -5,6 +5,7 @@ import pytest
 
 from repro.exec.and_or import (LeftProbeAnd, RightProbeAnd, SortMergeAnd,
                                SortMergeOr)
+from repro.exec import vector
 from repro.exec.base import ExecContext
 from repro.exec.concat import (LeftProbeConcat, RightProbeConcat,
                                SortMergeConcat, WildWindowConcat)
@@ -19,6 +20,7 @@ from repro.lang.windows import WindowConjunction, WindowSpec
 from repro.plan.search_space import SearchSpace
 
 from tests.conftest import make_series
+from tests.test_timeout_ticks import _StaticOp
 
 
 def window(lo, hi):
@@ -187,9 +189,36 @@ class TestNotOperators:
         matched, _ = run(self.child, self.series)
         complement, _ = run(MaterializeNot(self.child, win), self.series)
         ctx = ExecContext(self.series)
-        universe = set(win.iterate(self.series, 0, 3, 0, 3))
+        universe = set(vector.pairs(*vector.candidate_runs(
+            win, ctx, SearchSpace(0, 3, 0, 3))))
         assert set(complement) == universe - set(matched)
-        del ctx
+
+
+class TestPointWindowOverOddTimes:
+    """A point window with a time spec whose column is NaN or infinite at
+    a point: the duration there is NaN, which ``accepts()`` admits, so the
+    window leaf and both Nots must emit that point."""
+
+    series = make_series(np.zeros(6), extra={
+        "t2": [0.0, np.nan, 2.0, np.inf, -np.inf, 5.0]})
+    window = WindowConjunction([WindowSpec.point(0, 0),
+                                WindowSpec.time("t2", 1, 3, "DAY")])
+
+    @pytest.mark.parametrize("family", ["SegGenWindow", "MaterializeNot",
+                                        "ProbeNot"])
+    def test_operators_give_the_accepts_answer(self, family):
+        child = _StaticOp(((1, 1), (0, 2)))
+        op = {"SegGenWindow": lambda: SegGenWindow(self.window, "P"),
+              "MaterializeNot": lambda: MaterializeNot(child, self.window),
+              "ProbeNot": lambda: ProbeNot(child, self.window)}[family]()
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN
+            accepted = [(i, i) for i in range(len(self.series))
+                        if self.window.accepts(self.series, i, i)]
+        assert accepted == [(1, 1), (3, 3), (4, 4)]
+        if family != "SegGenWindow":
+            accepted.remove((1, 1))  # the child's match
+        got, _ = run(op, self.series)
+        assert got == accepted
 
 
 class TestKleene:

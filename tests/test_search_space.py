@@ -55,17 +55,6 @@ class TestConcatPropagation:
         assert sp.concat_left(1).e_hi == 8
         assert sp.concat_right(1).s_lo == 1
 
-    def test_probe_right(self):
-        sp = SearchSpace(0, 9, 0, 9)
-        probe = sp.probe_right_of_concat(4, 0)
-        assert (probe.s_lo, probe.s_hi) == (4, 4)
-        assert (probe.e_lo, probe.e_hi) == (0, 9)
-
-    def test_probe_left(self):
-        sp = SearchSpace(0, 9, 0, 9)
-        probe = sp.probe_left_of_concat(6, 1)
-        assert (probe.e_lo, probe.e_hi) == (5, 5)
-
     def test_kleene_child_spans(self):
         sp = SearchSpace(2, 4, 7, 9)
         child = sp.kleene_child()

@@ -15,13 +15,16 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import TRexEngine
 from repro.datasets import load
-from repro.errors import AdmissionRejected, ServiceError, exit_code
+from repro.errors import (AdmissionRejected, BindError, DataError,
+                          PlanError, QueryTimeout, ResourceBudgetExceeded,
+                          ServiceError, ServiceOverloaded,
+                          ServiceUnavailable, exit_code)
 from repro.queries import get_template
 from repro.service import (AdmissionController, BackgroundService,
                            BreakerConfig, CircuitBreaker, LoadgenConfig,
-                           RetryConfig, RetryPolicy, ServiceConfig,
-                           TenantConfig, TokenBucket, check_report,
-                           run_load)
+                           QueryService, RetryConfig, RetryPolicy,
+                           ServiceConfig, TenantConfig, TokenBucket,
+                           check_report, run_load)
 from repro.service.retry import transient_series_errors
 
 
@@ -480,3 +483,23 @@ def test_transient_series_error_detection():
             key=("b",), error="WorkerCrashed", message="pool died",
             kind="execution")))
     assert transient_series_errors(result) == ["pool died"]
+
+
+@pytest.mark.parametrize("error, status", [
+    (AdmissionRejected("slow down"), 429),
+    (ServiceOverloaded("queue full"), 503),
+    (ServiceUnavailable("draining"), 503),
+    (ServiceError("unknown dataset"), 400),
+    (QueryTimeout("late"), 408),
+    (ResourceBudgetExceeded("too many segments"), 408),
+    (PlanError("no plan"), 422),
+    (BindError("unknown variable"), 400),
+    (DataError("no such column"), 400),
+    (RuntimeError("bug"), 500),
+], ids=lambda value: type(value).__name__ if isinstance(
+    value, BaseException) else str(value))
+def test_error_response_status_per_error_class(error, status):
+    service = QueryService(ServiceConfig())
+    got, body, _ = service._error_response(error)
+    assert got == status
+    assert body["error"]["type"] == type(error).__name__

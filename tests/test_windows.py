@@ -1,4 +1,5 @@
-"""Window specs and conjunctions: ranges, counting, selectivity."""
+"""Window specs and conjunctions: ranges, and the candidates the one
+enumerator (``exec/vector.candidate_runs``) walks through them."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BindError
+from repro.exec import vector
+from repro.exec.base import ExecContext
 from repro.lang.windows import WILD, WindowConjunction, WindowSpec
+from repro.plan.search_space import SearchSpace
 
 from tests.conftest import make_series
 
@@ -142,11 +146,25 @@ class TestFoldedPointBounds:
         assert window.start_range(series, 3) == (0, 2)
 
 
+def runs_pairs(window, series, s_lo, s_hi, e_lo, e_hi):
+    """The candidates the one enumerator yields for a clamped box."""
+    sp = SearchSpace(s_lo, s_hi, e_lo, e_hi).clamp(len(series))
+    return list(vector.pairs(*vector.candidate_runs(
+        window, ExecContext(series), sp)))
+
+
+def driven_pairs(window, series, n, by_end):
+    """The full box's candidates, driven by starts or by ends."""
+    order = vector.BY_END if by_end else vector.BY_START
+    return vector.pairs(order, vector._box_runs(
+        window, series, SearchSpace.full(n), by_end))
+
+
 class TestIterate:
     def test_matches_accepts(self):
         series = make_series(np.zeros(12))
         window = conj(WindowSpec.point(1, 4))
-        pairs = set(window.iterate(series, 0, 11, 0, 11))
+        pairs = set(runs_pairs(window, series, 0, 11, 0, 11))
         expected = {(s, e) for s in range(12) for e in range(s, 12)
                     if window.accepts(series, s, e)}
         assert pairs == expected
@@ -154,57 +172,116 @@ class TestIterate:
     def test_boxed(self):
         series = make_series(np.zeros(12))
         window = conj(WindowSpec.point(0, 3))
-        pairs = set(window.iterate(series, 2, 4, 5, 6))
+        pairs = set(runs_pairs(window, series, 2, 4, 5, 6))
         assert pairs == {(2, 5), (3, 5), (3, 6), (4, 5), (4, 6)}
 
-    def test_iterate_by_end_same_pairs(self):
+    def test_by_end_same_pairs(self):
         series = make_series(np.zeros(15))
         window = conj(WindowSpec.point(1, 5))
-        a = set(window.iterate(series, 0, 14, 0, 14))
-        b = set(window.iterate_by_end(series, 0, 14, 0, 14))
+        a = set(driven_pairs(window, series, 15, by_end=False))
+        b = set(driven_pairs(window, series, 15, by_end=True))
         assert a == b
 
-    def test_iterate_box_picks_cheap_direction(self):
+    def test_picks_cheap_direction(self):
         series = make_series(np.zeros(15))
         window = conj(WindowSpec.point(0, 4))
-        # End pinned: box iteration must still yield the right pairs.
-        pairs = set(window.iterate_box(series, 0, 14, 9, 9))
+        # End pinned: the end-driven order must still yield the right pairs.
+        order, _ = vector.candidate_runs(window, ExecContext(series),
+                                         SearchSpace(0, 14, 9, 9))
+        assert order == vector.BY_END
+        pairs = set(runs_pairs(window, series, 0, 14, 9, 9))
         assert pairs == {(s, 9) for s in range(5, 10)}
 
-    def test_count_pairs(self):
+    def test_counts_candidates(self):
         series = make_series(np.zeros(10))
         window = conj(WindowSpec.point(2, 2))
-        assert window.count_pairs(series, 0, 9, 0, 9) == 8
+        assert len(runs_pairs(window, series, 0, 9, 0, 9)) == 8
 
 
-class TestSelectivity:
-    def test_wild_full_box(self):
-        series = make_series(np.zeros(10))
-        sel = WindowConjunction.wild().selectivity(series, 0, 9, 0, 9)
-        assert sel == pytest.approx(55 / 100)
+def _random_window(rng, column, diagonal):
+    """One to three random point/time specs; ``diagonal`` adds a point
+    bound that caps duration at 0."""
+    specs = []
+    for _ in range(int(rng.integers(1, 4))):
+        unbounded = rng.random() < 0.2
+        if rng.random() < 0.5:
+            lo = int(rng.integers(0, 4))
+            hi = None if unbounded else lo + int(rng.integers(0, 5))
+            specs.append(WindowSpec.point(lo, hi))
+        else:
+            lo = float(rng.uniform(0, 4)) if rng.random() < 0.7 else 0.0
+            hi = None if unbounded else lo + float(rng.uniform(0, 6))
+            specs.append(WindowSpec.time(column, lo, hi, "DAY"))
+    if diagonal:
+        specs.append(WindowSpec.point(0, float(rng.choice([0.0, 0.5]))))
+    return conj(*specs)
 
-    def test_exact_small(self):
-        series = make_series(np.zeros(10))
-        window = conj(WindowSpec.point(0, 2))
-        count = window.count_pairs(series, 0, 9, 0, 9)
-        sel = window.selectivity(series, 0, 9, 0, 9)
-        assert sel == pytest.approx(count / 100)
 
-    def test_empty_box(self):
-        series = make_series(np.zeros(10))
-        assert conj(WindowSpec.point(0, 2)).selectivity(
-            series, 5, 3, 0, 9) == 0.0
+def _random_space(rng, n):
+    s_lo, e_lo = (int(v) for v in rng.integers(-2, n + 1, 2))
+    s_hi = s_lo + int(rng.integers(0, n + 2))
+    e_hi = e_lo + int(rng.integers(0, n + 2))
+    return SearchSpace(s_lo, s_hi, e_lo, e_hi).clamp(n)
 
-    @settings(max_examples=40, deadline=None)
-    @given(lo=st.integers(0, 4), width=st.integers(0, 6),
-           n=st.integers(3, 24))
-    def test_count_matches_enumeration(self, lo, width, n):
-        series = make_series(np.zeros(n))
-        window = conj(WindowSpec.point(lo, lo + width))
-        count = window.count_pairs(series, 0, n - 1, 0, n - 1)
-        expected = sum(1 for s in range(n) for e in range(s, n)
-                       if lo <= e - s <= lo + width)
-        assert count == expected
+
+class TestOneEnumerator:
+    """``candidate_runs`` against the box filtered by ``accepts()``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_monotone_columns_box_in_documented_order(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(1, 24))
+            steps = rng.choice([0.0, 0.5, 1.0, 2.5], size=n - 1)
+            series = make_series(np.zeros(n), timestamps=np.concatenate(
+                [[0.0], np.cumsum(steps)]))
+            window = _random_window(rng, "tstamp", diagonal=False)
+            sp = _random_space(rng, n)
+            if sp.is_empty():
+                continue
+            checked += 1
+            order, runs = vector.candidate_runs(window, ExecContext(series),
+                                                sp)
+            got = list(vector.pairs(order, runs))
+            box = [(s, e) for s in range(sp.s_lo, sp.s_hi + 1)
+                   for e in range(sp.e_lo, sp.e_hi + 1)
+                   if s <= e and window.accepts(series, s, e)]
+            if window.point_duration_bounds()[1] == 0:
+                assert order == vector.DIAGONAL
+            elif (sp.e_hi - sp.e_lo) < (sp.s_hi - sp.s_lo):
+                assert order == vector.BY_END
+                box.sort(key=lambda pair: (pair[1], pair[0]))
+            else:
+                assert order == vector.BY_START
+            assert got == box, (window, sp)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagonals_follow_accepts_on_any_column(self, seed):
+        """Point windows over a time column that is out of order or not
+        finite: a NaN duration is accepted, as ``accepts()`` says."""
+        rng = np.random.default_rng(seed)
+        odd = np.array([np.nan, np.inf, -np.inf, 0.0, 1.0, 3.0, -2.0])
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(1, 24))
+            series = make_series(np.zeros(n),
+                                 extra={"t2": rng.choice(odd, size=n)})
+            point = bool(rng.random() < 0.3)
+            window = _random_window(rng, "t2", diagonal=not point)
+            sp = _random_space(rng, n)
+            if sp.is_empty():
+                continue
+            checked += 1
+            order, runs = vector.candidate_runs(window, ExecContext(series),
+                                                sp, point)
+            assert order == vector.DIAGONAL
+            got = list(vector.pairs(order, runs))
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                expected = [(i, i) for i in range(max(sp.s_lo, sp.e_lo),
+                                                  min(sp.s_hi, sp.e_hi) + 1)
+                            if window.accepts(series, i, i)]
+            assert got == expected, (window, sp)
 
 
 class TestConjunction:
@@ -267,6 +344,6 @@ class TestIrregularTimestamps:
                              timestamps=timestamps)
         window = conj(WindowSpec.time("tstamp", 0, hi, "DAY"))
         n = len(series)
-        forward = set(window.iterate(series, 0, n - 1, 0, n - 1))
-        backward = set(window.iterate_by_end(series, 0, n - 1, 0, n - 1))
+        forward = set(driven_pairs(window, series, n, by_end=False))
+        backward = set(driven_pairs(window, series, n, by_end=True))
         assert forward == backward
