@@ -1,13 +1,11 @@
 """Ablation benchmarks for T-ReX's design choices (DESIGN.md §5).
 
 Beyond the paper's own ablations (probe operators via T-ReX Batch,
-computation sharing via Figure 22b), these isolate two further design
+computation sharing via Figure 22b), these isolate further design
 choices the paper folds into the system:
 
 * **window push-down** (logical rewrite rule 2) — disabling it leaves
   leaves unbounded and work explodes on padded patterns like cld_wave;
-* **sub-pattern materialization** (Section 4.5.1) — repeated variables
-  re-evaluate without the SubPattern memo.
 """
 
 
@@ -63,32 +61,6 @@ def test_ablation_window_pushdown(benchmark):
     # Without push-down the executor must do at least as much work.
     assert unpushed_stats.get("segments_emitted", 0) >= \
         pushed_stats.get("segments_emitted", 0)
-
-
-def test_ablation_subpattern_memo(benchmark, tables):
-    """Repeated W1 pads: the SubPattern memo avoids re-evaluating the
-    repeated sub-pattern in batch plans."""
-    from repro.exec.special import SubPatternCache
-
-    template = get_template("cld_wave")
-    table = tables("weather")
-    query = template.compile({"fall_diff": 18, "down_r2_min": 0.9})
-    series_list = table.partition(query.partition_by, query.order_by)
-
-    plan = RuleBasedPlanner(RuleStrategy("left", "sm")).plan(query)
-
-    def has_subpattern(op):
-        if isinstance(op, SubPatternCache):
-            return True
-        return any(has_subpattern(child) for child in op.children())
-
-    assert has_subpattern(plan)  # the memo is actually in the plan
-    matches, stats = once(benchmark, lambda: run_plan(plan, series_list,
-                                                      query))
-    print(f"\nAblation SubPattern: cache hits="
-          f"{stats.get('subpattern_cache_hits', 0)} over "
-          f"{stats.get('subpattern_evals', 0)} evaluations")
-    assert stats.get("subpattern_cache_hits", 0) >= 1
 
 
 def test_ablation_probe_window_anchoring(benchmark, tables):

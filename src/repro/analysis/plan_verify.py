@@ -35,7 +35,6 @@ from repro.exec.kleene import MaterializeKleene
 from repro.exec.metrics import RunMetrics
 from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
-from repro.exec.special import SubPatternCache
 from repro.lang import expr as E
 from repro.optimizer.cost_params import DEFAULT_COST_PARAMS, CostParams
 from repro.plan.search_space import SearchSpace
@@ -98,9 +97,6 @@ def _flow(op: PhysicalOperator, available: FrozenSet[str],
                 f"{sorted(available)} are available")
         return
     if isinstance(op, SegGenWindow):
-        return
-    if isinstance(op, SubPatternCache):
-        _flow(op.child, available, diags)
         return
     if isinstance(op, FilterOp):
         provided = available | op.child.publish

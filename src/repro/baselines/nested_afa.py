@@ -4,9 +4,12 @@ Evaluates nested patterns "top-down": the outer pattern runs first with
 inner nested sub-patterns (Not bodies) treated as match-all placeholders;
 then each inner pattern is evaluated only under the search-space conditions
 inferred from the outer matches, with results materialized and shared
-across outer candidates.  For patterns without nested sub-patterns the
-executor reverts to plain AFA — as does the original algorithm, which also
-cannot evaluate nested segments inside a Kleene closure.
+across outer candidates.  Only a Not that spans the whole match (the
+root, or an And conjunct of it) is split off this way; one inside a
+Concat, an Or or a Kleene closure stays in the outer automaton.  For
+patterns without such a Not the executor reverts to plain AFA — as does
+the original algorithm, which also cannot evaluate nested segments inside
+a Kleene closure.
 """
 
 from __future__ import annotations
@@ -16,21 +19,21 @@ from typing import Dict, List, Set, Tuple
 
 from repro.baselines.afa import AFAExecutor
 from repro.lang.query import Query
-from repro.plan.logical import (LKleene, LNot, LogicalNode,
-                                build_logical_plan, walk)
+from repro.plan.logical import LAnd, LNot, LogicalNode, build_logical_plan
 from repro.timeseries.series import Series
 
 
-# trex: no-tick(one-time plan rewrite, bounded by pattern size)
 def _replaceable_nots(plan: LogicalNode) -> List[LNot]:
-    """Not nodes outside any Kleene body (the nesting [43] can split off)."""
-    inside_kleene: Set[int] = set()
-    for node in walk(plan):
-        if isinstance(node, LKleene):
-            for sub in walk(node.child):
-                inside_kleene.add(sub.node_id)
-    return [node for node in walk(plan)
-            if isinstance(node, LNot) and node.node_id not in inside_kleene]
+    """Not nodes that span the whole match: the root, or reached from it
+    through And nodes only (the nesting [43] can split off).  The inner
+    check tests a Not body against the outer match's own bounds, so a Not
+    under a Concat, an Or or a Kleene stays in the outer pattern."""
+    if isinstance(plan, LNot):
+        return [plan]
+    if isinstance(plan, LAnd):
+        return [node for part in plan.parts
+                for node in _replaceable_nots(part)]
+    return []
 
 
 class NestedAFAExecutor:

@@ -137,7 +137,7 @@ class EngineConfig:
             elif kind is not None and value is not None and (
                     isinstance(value, bool)
                     or not isinstance(value, int if kind is int else Real)
-                    or value <= 0):
+                    or not value > 0):  # NaN too
                 raise PlanError(
                     f"{spec.name} must be a positive "
                     f"{'integer' if kind is int else 'number'}, "

@@ -10,7 +10,6 @@ from repro.exec.kleene import MaterializeKleene
 from repro.exec.metrics import OpMetrics, RunMetrics
 from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
-from repro.exec.special import SubPatternCache
 
 __all__ = [
     "ExecContext", "PhysicalOperator",
@@ -20,5 +19,4 @@ __all__ = [
     "WildWindowConcat",
     "SortMergeAnd", "RightProbeAnd", "LeftProbeAnd", "SortMergeOr",
     "MaterializeNot", "ProbeNot", "MaterializeKleene", "FilterOp",
-    "SubPatternCache",
 ]

@@ -175,8 +175,8 @@ class ExecContext:
 
         The budget is a memory-pressure proxy: operators call this
         wherever segments accumulate in collections whose size is not
-        bounded a priori (MaterializeNot/MaterializeKleene state, probe
-        and sub-pattern caches, the engine's result sink).
+        bounded a priori (MaterializeNot/MaterializeKleene state, the
+        probe cache, the engine's result sink).
         """
         self.segments_charged += n
         if self.segment_budget is not None \

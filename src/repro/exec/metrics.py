@@ -21,7 +21,7 @@ record per operator, keyed by ``op_id``:
 * ``time_seconds`` — cumulative wall time spent inside the operator's
   iterator, children included; ``self_seconds`` subtracts the children;
 * ``counters`` — operator-reported events (probe-cache hits/misses,
-  condition evaluations, sub-pattern cache hits, ...) attributed through
+  condition evaluations, ...) attributed through
   :meth:`~repro.exec.base.ExecContext.count`;
 * ``batch_calls``/``scalar_calls``/``fallback`` — condition leaves only:
   how many eval calls took the batch kernels and how many the scalar
@@ -254,8 +254,6 @@ class RunMetrics:
         record.eval_calls += 1
         record.observe_space(sp)
         t0 = time.perf_counter()
-        # Timed separately: non-generator evals (SubPatternCache) do
-        # their materialization work in the call itself.
         iterator = method(op, ctx, sp, refs)
         record.time_seconds += time.perf_counter() - t0
         while True:

@@ -140,16 +140,6 @@ class Construction:
         self.query = query
         self.sharing = sharing
         self.publish = publish_set(query)
-        # Variables appearing more than once in the pattern get their leaf
-        # results memoized via the SubPattern operator (Section 4.5.1), so
-        # e.g. cld_wave's two W1 pads share one evaluation per search space.
-        from repro.lang import pattern as P
-        counts: dict = {}
-        for node in P.walk(query.pattern):
-            if isinstance(node, P.VarRef):
-                counts[node.name] = counts.get(node.name, 0) + 1
-        self._repeated_vars = {name for name, count in counts.items()
-                               if count > 1}
 
     # -- leaves --------------------------------------------------------------
 
@@ -160,8 +150,7 @@ class Construction:
         var = node.var
         pub = self.publish & {var.name}
         if var.condition is None:
-            op = SegGenWindow(node.window, var.name, pub)
-            return BuildResult(self._maybe_share(op, node))
+            return BuildResult(SegGenWindow(node.window, var.name, pub))
         if lift:
             op = SegGenWindow(node.window, var.name,
                               pub | frozenset({var.name}))
@@ -175,16 +164,7 @@ class Construction:
             op: "PhysicalOperator" = SegGenIndexing(var, node.window, pub)
         else:
             op = SegGenFilter(var, node.window, pub)
-        return BuildResult(self._maybe_share(op, node))
-
-    def _maybe_share(self, op, node: LVar):
-        """Wrap repeated-variable leaves in a SubPattern memo operator."""
-        if node.var.name not in self._repeated_vars:
-            return op
-        from repro.exec.special import SubPatternCache
-        key = (f"{type(op).__name__}:{node.var.name}:"
-               f"{node.window.describe()}:{sorted(op.publish)}")
-        return SubPatternCache(op, key)
+        return BuildResult(op)
 
     # -- binary combines -----------------------------------------------------
 

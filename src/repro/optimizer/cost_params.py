@@ -35,7 +35,6 @@ DEFAULT_OPERATOR_WEIGHTS: Dict[str, float] = {
     # closest relatives.
     "Filter": 502.0,
     "WildWindowConcat": 671.0,
-    "SubPattern": 100.0,
 }
 
 #: Paper Table 6 — (w_ind, w_lookup, w_direct) per aggregate (nanoseconds);

@@ -35,7 +35,6 @@ from repro.exec.concat import WildWindowConcat
 from repro.exec.filter_op import FilterOp
 from repro.exec.not_op import MaterializeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
-from repro.exec.special import SubPatternCache
 from repro.exec.vector import compiles_statically
 from repro.lang.query import Query, VarDef
 from repro.lang.windows import WindowConjunction
@@ -696,8 +695,6 @@ class CostBasedPlanner:
         """``(cost, card)`` of ``op`` in a ``(ℓ_s, ℓ_e)`` space with the
         references ``avail`` bound by enclosing probe anchors."""
         params = self.params
-        if isinstance(op, SubPatternCache):
-            return self._price(op.child, ls, le, avail)
         if isinstance(op, (SegGenWindow, SegGenFilter, SegGenIndexing)):
             return self._leaf_estimate(
                 type(op).__name__,

@@ -92,6 +92,19 @@ def error_payload(error: BaseException) -> dict:
     return payload
 
 
+def _request_number(body: dict, key: str, convert, default):
+    """``convert(body[key])``, or ``default`` when the key is absent or
+    ``null``; a value ``convert`` refuses is the client's fault (400)."""
+    value = body.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(f"{key} must be a number, got {value!r}") \
+            from None
+
+
 @dataclass
 class _PendingQuery:
     """One admitted query travelling through the service pipeline."""
@@ -336,33 +349,35 @@ class QueryService:
             self.metrics.counters.add("rejected_draining")
             raise ServiceUnavailable("service is draining; not admitting "
                                      "new queries")
-        tenant_name = str(body.get("tenant", "default"))
+        # A ``null`` field means "not given" throughout.
+        tenant = body.get("tenant")
+        tenant_name = "default" if tenant is None else str(tenant)
         ticket = self.admission.admit(tenant_name)
         self.metrics.counters.add("admitted")
         try:
             query, table = self._bind_request(body)
             tenant_config = self.admission.tenant(tenant_name).config
             defaults = self.config.engine
-            max_segments = body.get("max_segments",
-                                    tenant_config.max_segments)
-            if max_segments is not None:
-                max_segments = int(max_segments)
-                if tenant_config.max_segments is not None:
-                    max_segments = min(max_segments,
-                                       tenant_config.max_segments)
-            limit = body.get("limit")
+            max_segments = _request_number(body, "max_segments", int,
+                                           tenant_config.max_segments)
+            if max_segments is not None and \
+                    tenant_config.max_segments is not None:
+                max_segments = min(max_segments, tenant_config.max_segments)
+            timeout = _request_number(body, "timeout_seconds", float,
+                                      defaults.timeout_seconds)
+            on_error = body.get("on_error")
             try:
                 # EngineConfig validates the request's knobs exactly as
                 # it validates everyone else's; out here that is the
-                # client's fault (400), not a planning failure.
+                # client's fault (400), not a planning failure.  NaN
+                # passes min() and is rejected there.
                 engine = replace(
                     defaults,
-                    timeout_seconds=min(
-                        float(body.get("timeout_seconds",
-                                       defaults.timeout_seconds)),
-                        tenant_config.max_timeout_seconds),
-                    max_matches=None if limit is None else int(limit),
-                    on_error=str(body.get("on_error", defaults.on_error)),
+                    timeout_seconds=min(timeout,
+                                        tenant_config.max_timeout_seconds),
+                    max_matches=_request_number(body, "limit", int, None),
+                    on_error=(defaults.on_error if on_error is None
+                              else str(on_error)),
                     max_segments=max_segments)
             except PlanError as exc:
                 # Name the request's key, not the engine field behind it.

@@ -305,6 +305,27 @@ class QueryGen:
         else:
             a.cond = f"last({a.name}.val) {op} first({b.name}.val)"
 
+    def _repeat_pad(self, body: object) -> SNode:
+        """``body`` joined with one condition-free pad (``true`` or a
+        window, referenced by nothing) at two concat positions: the
+        templates' ``W X W`` (edge), ``W X W Y`` (left), ``Y W X W``
+        (right) and ``Y W X W Z`` (twice) shapes, under a finite window
+        as in ``(W1 X W1) & WINDOW`` (two unbounded pads on a long series
+        would make the brute-force oracle crawl)."""
+        rng = self.rng
+        pad = SVar(self._fresh("W"), True,
+                   "true" if rng.random() < 0.5 else self._window_cond())
+        parts = [pad, body, pad.clone()]
+        shape = rng.choice(("edge", "left", "right", "twice"))
+        if shape in ("right", "twice"):
+            parts.insert(0, self._leaf())
+        if shape in ("left", "twice"):
+            parts.append(self._leaf())
+        lo = rng.choice((1, 2, 3))
+        window = SVar(self._fresh("W"), True,
+                      f"window({lo}, {lo + rng.choice((3, 6, 9))})")
+        return SNode("and", [SNode("concat", parts), window])
+
     def generate(self) -> object:
         self._counter = 0
         budget = self.rng.randint(1, self.max_nodes)
@@ -316,6 +337,8 @@ class QueryGen:
                                      self._window_cond(allow_zero=False))])
         if self.rng.random() < 0.35:
             self._add_cross_refs(spec)
+        if self.rng.random() < 0.2:
+            spec = self._repeat_pad(spec)
         return spec
 
 

@@ -416,8 +416,7 @@ def test_cost_coverage_clean_for_shipped_operators():
     operators = discover_exec_operators()
     names = {cls.__name__ for cls in operators}
     assert {"SegGenWindow", "SegGenFilter", "SegGenIndexing", "FilterOp",
-            "SortMergeConcat", "MaterializeKleene",
-            "SubPatternCache"} <= names
+            "SortMergeConcat", "MaterializeKleene"} <= names
 
 
 def test_cost_coverage_flags_missing_entry():

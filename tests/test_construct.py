@@ -135,15 +135,6 @@ class TestScopingValidation:
 
 
 class TestConstructionLeaves:
-    def test_repeated_vars_detected(self):
-        query = query_of(
-            "ORDER BY t\nPATTERN (W A W) & WIN\n"
-            "DEFINE SEGMENT W AS true, SEGMENT A AS last(A.v) > 1,\n"
-            "SEGMENT WIN AS window(1, 6)")
-        construction = Construction(query)
-        assert "W" in construction._repeated_vars
-        assert "A" not in construction._repeated_vars
-
     def test_invalid_sharing_mode(self):
         query = query_of("ORDER BY t\nPATTERN (A)\nDEFINE A AS v > 1")
         with pytest.raises(PlanError):

@@ -162,6 +162,8 @@ def test_config_xor_keyword_options():
     {"workers": 0}, {"workers": 0.5}, {"workers": 2.5},
     {"vectorize": None}, {"vectorize": "yes"}, {"prefilter": None},
     {"lint": 1}, {"analyze": "on"},
+    {"timeout_seconds": float("nan")},
+    {"planning_timeout_seconds": float("nan")},
 ])
 def test_every_invalid_value_is_a_plan_error(kwargs):
     with pytest.raises(PlanError, match=next(iter(kwargs))):
@@ -225,10 +227,12 @@ class TestServeDrift:
         return _serve_config(build_parser().parse_args(["serve", *argv]))
 
     def test_timeout_zero_is_rejected_not_ten_seconds(self, capsys):
-        with pytest.raises(PlanError, match="timeout_seconds"):
-            self.serve("--timeout", "0")
-        assert main(["serve", "--timeout", "0"]) == 5
-        assert "timeout_seconds" in capsys.readouterr().err
+        # NaN too: a NaN deadline would never fire.
+        for bad in ("0", "nan"):
+            with pytest.raises(PlanError, match="timeout_seconds"):
+                self.serve("--timeout", bad)
+            assert main(["serve", "--timeout", bad]) == 5
+            assert "timeout_seconds" in capsys.readouterr().err
         assert self.serve().engine.timeout_seconds == 10.0
         assert self.serve("--timeout", "2.5").engine.timeout_seconds == 2.5
 

@@ -17,7 +17,7 @@ from repro.testing.fuzz import (BACKENDS, CORE_BACKENDS, QueryGen, SNode,
                                 case_to_json, decode_values, encode_values,
                                 metamorphic_check, minimize_case,
                                 oracle_check, render_query, replay_case,
-                                run_fuzz, spec_size)
+                                run_fuzz, spec_size, spec_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,27 @@ def test_generator_covers_the_grammar():
     assert "first(" in text and "last(" in text
     for agg in ("sum", "avg", "stddev", "count"):
         assert f"{agg}(" in text
+
+
+def test_generator_repeats_condition_free_pads():
+    """Some queries use one pad variable at two concat positions (the
+    ``W1 X W1`` shape of cld_wave), and those queries compile."""
+    repeated = []
+    for spec in _specs(5, 150):
+        names = [var.name for var in spec_vars(spec)]
+        twice = {name for name in names if names.count(name) > 1}
+        if twice:
+            repeated.append((spec, twice))
+    assert len(repeated) >= 10
+    for spec, twice in repeated:
+        text = fuzz._compiles(spec)
+        assert text is not None, render_query(spec)
+        pattern = text.splitlines()[1].replace("(", " ").replace(")", " ")
+        query = compile_query(text)
+        for name in twice:
+            assert pattern.split().count(name) == 2
+            var = query.variables[name]
+            assert var.is_segment and var.condition is None
 
 
 def test_series_generator_deterministic_and_edge_lengths():

@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.engine import TRexEngine
 from repro.core.plancache import PlanCache
+from repro.datasets import load
 from repro.exec.base import ExecContext
 from repro.exec.metrics import OpMetrics, RunMetrics
 from repro.exec.seggen import SegGenWindow
 from repro.lang.query import compile_query
 from repro.lang.windows import WindowConjunction, WindowSpec
 from repro.plan.search_space import SearchSpace
+from repro.queries.templates import ALL_TEMPLATES
 
 from tests.conftest import make_series
 
@@ -132,13 +134,22 @@ class TestAnalyzeMode:
     @pytest.mark.parametrize("optimizer", ["cost", "sm_left", "pr_left"])
     def test_segments_emitted_is_what_operators_yielded(self, optimizer):
         """``stats["segments_emitted"]`` counts yielded segments (after
-        the join operators' deduplication), i.e. exactly what the shim
-        counts as ``segments_out`` operator by operator."""
-        result = run(optimizer=optimizer)
-        assert "SubPattern" not in result.plan_explain  # re-serves, uncounted
-        yielded = sum(record.segments_out
-                      for record in result.op_metrics.ops.values())
-        assert result.stats["segments_emitted"] == yielded > 0
+        the join operators' deduplication), i.e. exactly what the entry
+        wrapper counts as ``segments_out`` operator by operator — on the
+        running query and on every template's first grid point."""
+        runs = [(QUERY, run(optimizer=optimizer))]
+        for template in ALL_TEMPLATES:
+            table = load(template.dataset, num_series=2, length=80)
+            engine = TRexEngine(optimizer=optimizer, analyze=True)
+            runs.append((template.name, engine.execute_query(
+                template.compile(template.param_sets()[0]), table)))
+        counts = {name: (result.stats["segments_emitted"],
+                         sum(record.segments_out
+                             for record in result.op_metrics.ops.values()))
+                  for name, result in runs}
+        assert {name: pair for name, pair in counts.items()
+                if pair[0] != pair[1]} == {}
+        assert counts[QUERY][0] > 0
 
     def test_probe_counters_attributed(self):
         result = run(optimizer="pr_left")

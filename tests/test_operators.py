@@ -13,7 +13,6 @@ from repro.exec.filter_op import FilterOp
 from repro.exec.kleene import MaterializeKleene
 from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
-from repro.exec.special import SubPatternCache
 from repro.lang.parser import parse_condition
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction, WindowSpec
@@ -276,30 +275,6 @@ class TestFilterAndSubPattern:
         filt = FilterOp(concat, [("UP", condition)], WILD)
         got, _ = run(filt, series)
         assert got  # UP rises by exactly 2 over duration-2 windows here
-
-    def test_subpattern_cache(self):
-        series = make_series(list(range(20)))
-        up = rising_var("UP")
-        leaf = SegGenFilter(up, window(1, 2))
-        cached = SubPatternCache(leaf, "key1")
-        ctx = ExecContext(series)
-        sp = SearchSpace.full(20)
-        first = sorted(s.bounds for s in cached.eval(ctx, sp, {}))
-        second = sorted(s.bounds for s in cached.eval(ctx, sp, {}))
-        assert first == second
-        assert ctx.stats["subpattern_cache_hits"] == 1
-
-    def test_subpattern_streams_tiny_spaces(self):
-        series = make_series(list(range(20)))
-        up = rising_var("UP")
-        cached = SubPatternCache(SegGenFilter(up, window(1, 2)), "key2")
-        ctx = ExecContext(series)
-        sp = SearchSpace.exact(2, 3)
-        list(cached.eval(ctx, sp, {}))
-        list(cached.eval(ctx, sp, {}))
-        # Tiny probe spaces bypass the cache entirely.
-        assert ctx.stats["subpattern_cache_hits"] == 0
-        assert ctx.stats["subpattern_evals"] == 0
 
 
 class TestExplain:

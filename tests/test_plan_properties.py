@@ -2,7 +2,6 @@
 
 * Window push-down is a pure optimization: disabling it never changes the
   match set.
-* Sub-pattern memoization never changes results.
 * Probe plans and batch plans are result-equivalent (pruning is safe).
 * The logical plan's duration bounds are sound: every brute-force match
   respects them.

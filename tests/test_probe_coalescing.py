@@ -23,7 +23,6 @@ from repro.exec.concat import LeftProbeConcat, RightProbeConcat
 from repro.exec.metrics import RunMetrics
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.exec.not_op import ProbeNot
-from repro.exec.special import SubPatternCache
 from repro.lang.parser import parse_condition
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction, WindowSpec
@@ -48,8 +47,6 @@ def leaves(var, publish):
         "SegGenFilter": SegGenFilter(var, window, publish=keep),
         "SegGenIndexing": SegGenIndexing(var, window, publish=keep),
         "SegGenWindow": SegGenWindow(window, var.name, publish=keep),
-        "SubPatternCache": SubPatternCache(
-            SegGenIndexing(var, window, publish=keep), var.name),
     }
 
 

@@ -341,6 +341,53 @@ class TestServiceEndToEnd:
             assert "max_matches" not in body["error"]["message"]
 
 
+@pytest.fixture(scope="module")
+def capped_client():
+    config = ServiceConfig(port=0, datasets=(("sp500", 3, 80),),
+                           tenants={"capped": TenantConfig(max_segments=5)})
+    with BackgroundService(config) as live:
+        yield live.client()
+
+
+def _outcome(status, body):
+    """A response minus what differs between two runs of one request."""
+    return status, {key: value for key, value in body.items()
+                    if key not in ("meta", "plan_cache", "summary")}
+
+
+@pytest.mark.parametrize("fields", [
+    {"limit": "ten"}, {"limit": [3]}, {"limit": float("inf")},
+    {"timeout_seconds": "soon"}, {"timeout_seconds": float("nan")},
+    {"max_segments": "lots"},
+    {"limit": None}, {"timeout_seconds": None}, {"max_segments": None},
+    {"on_error": None}, {"tenant": None},
+], ids=repr)
+def test_request_numbers_malformed_or_null(capped_client, fields):
+    """A malformed number is a structured 400 counted ``failed``; a
+    ``null`` field is not given, so the tenant's cap and the defaults
+    still apply."""
+    request = {"template": "v_shape", "tenant": "capped"}
+    status, body = capped_client.post("/query", {**request, **fields})
+    (key, value), = fields.items()
+    if value is None:
+        if key == "tenant":
+            del request["tenant"]
+        else:
+            assert body["interrupted"]  # stopped by the tenant's cap
+        assert _outcome(status, body) == _outcome(
+            *capped_client.post("/query", request))
+    else:
+        assert status == 400
+        assert body["error"]["kind"] == "service"
+        assert body["error"]["type"] == "ServiceError"
+        assert key in body["error"]["message"]
+    stats = capped_client.get("/stats")[1]
+    counters = stats["service"]["counters"]
+    assert counters["requests"] == \
+        counters.get("completed", 0) + counters.get("failed", 0)
+    assert stats["tenants"]["capped"]["in_flight"] == 0
+
+
 class TestAdmissionOverHttp:
     def test_rate_limit_yields_429_with_retry_after(self):
         config = ServiceConfig(
