@@ -36,6 +36,41 @@ BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 BLOCK_CELLS = 1 << 14
 
 
+# trex: no-tick(one step per BLOCK_CELLS cells of an already-ticked batch)
+def row_sums(columns: Sequence[np.ndarray], starts: np.ndarray,
+             ends: np.ndarray,
+             terms: Callable[..., Sequence[np.ndarray]]) -> List[np.ndarray]:
+    """``np.sum`` of every term over every segment, bit for bit.
+
+    ``terms(*rows)`` maps the columns' rows (one row per segment) to the
+    arrays whose per-row sums are wanted, elementwise as the scalar form
+    computes them over its slices.  Candidates are grouped by segment
+    length and each group is gathered as C-contiguous 2-D blocks of at
+    most :data:`BLOCK_CELLS` cells; ``np.sum(block, axis=1)`` reduces a
+    row with the same pairwise fold as ``np.sum`` over the 1-D slice,
+    which is what makes the batch form exact.  A batch is never empty.
+    """
+    lengths = ends - starts + 1
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    sums: List[np.ndarray] = []
+    for group in np.split(order, cuts):
+        length = int(lengths[group[0]])
+        offsets = np.arange(length, dtype=np.int64)
+        step = max(1, BLOCK_CELLS // length)
+        for at in range(0, len(group), step):
+            members = group[at:at + step]
+            at_rows = starts[members][:, None] + offsets
+            block = [np.sum(term, axis=1) for term in terms(
+                *(column[at_rows] for column in columns))]
+            if not sums:
+                sums = [np.empty(len(starts), dtype=np.float64)
+                        for _ in block]
+            for out, values in zip(sums, block):
+                out[members] = values
+    return sums
+
+
 class AggregateIndex(ABC):
     """Query-time index over a whole series for one aggregate call."""
 

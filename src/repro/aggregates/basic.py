@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.aggregates.base import (Aggregate, AggregateIndex, BatchKernel,
-                                   as_float_arrays)
+                                   as_float_arrays, row_sums)
 from repro.aggregates.prefix import PrefixSums, SparseTable
 
 
@@ -181,6 +181,11 @@ class SumAggregate(_OneColumnAggregate):
     def _index(self, values):
         return _SumIndex(values)
 
+    def batch_kernel(self, columns, extra):
+        (values,) = as_float_arrays(columns)
+        return lambda starts, ends: row_sums(
+            (values,), starts, ends, lambda v: (v,))[0]
+
 
 class AvgAggregate(_OneColumnAggregate):
     """Arithmetic mean over the segment."""
@@ -192,6 +197,11 @@ class AvgAggregate(_OneColumnAggregate):
 
     def _index(self, values):
         return _AvgIndex(values)
+
+    def batch_kernel(self, columns, extra):
+        # np.mean is np.sum over the slice divided by its length.
+        total = SumAggregate().batch_kernel(columns, extra)
+        return lambda starts, ends: total(starts, ends) / (ends - starts + 1)
 
 
 class CountAggregate(_OneColumnAggregate):
@@ -213,7 +223,8 @@ class CountAggregate(_OneColumnAggregate):
 def _reduceat_kernel(values: np.ndarray, reducer: np.ufunc) -> BatchKernel:
     """Exact direct min/max: ``reducer.reduceat`` over ``[start, end+1)``
     pairs visits each slice like ``np.min``/``np.max`` does.  ``sum`` and
-    ``avg`` have no such form (``np.sum`` accumulates pairwise)."""
+    ``avg`` have no such form (``np.sum`` accumulates pairwise), so they
+    reduce equal-length rows instead (:func:`row_sums`)."""
     # One trailing pad element keeps ``ends + 1 == n`` a valid reduceat
     # index; the odd (inter-pair) reductions that could read it are
     # discarded below.

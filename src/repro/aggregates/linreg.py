@@ -7,6 +7,8 @@ is the ``linear_reg_r2_signed`` used throughout Appendix E's queries.
 
 Both support computation sharing through prefix sums over the five
 expressions ``x``, ``y``, ``x²``, ``y²`` and ``xy``; a lookup is then O(1).
+Direct evaluation sums the same five expressions over the segment, and
+its batch form sums them row by row (:func:`~repro.aggregates.base.row_sums`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate, AggregateIndex, segment_pair
+from repro.aggregates.base import (Aggregate, AggregateIndex, BatchKernel,
+                                   row_sums, segment_pair)
 from repro.aggregates.prefix import PrefixSums
 
 #: Denominator guard: segments with (numerically) constant x or y get R²=0.
@@ -129,6 +132,19 @@ class LinearRegressionR2(Aggregate):
                     extra: Sequence[float]) -> AggregateIndex:
         x, y = segment_pair(columns)
         return _LinRegIndex(x, y, self._signed)
+
+    def batch_kernel(self, columns: Sequence[np.ndarray],
+                     extra: Sequence[float]) -> BatchKernel:
+        x, y = segment_pair(columns)
+
+        def kernel(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+            return _r2_from_moments_batch(
+                ends - starts + 1, *row_sums(
+                    (x, y), starts, ends,
+                    lambda x, y: (x, y, x * x, y * y, x * y)),
+                self._signed)
+
+        return kernel
 
 
 class LinearRegressionR2Signed(LinearRegressionR2):

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate, AggregateIndex, as_float_arrays, \
-    segment_pair
+from repro.aggregates.base import (Aggregate, AggregateIndex, BatchKernel,
+                                   as_float_arrays, row_sums, segment_pair)
 from repro.aggregates.prefix import PrefixSums
 
 _EPSILON = 1e-12
@@ -73,6 +73,22 @@ class Slope(Aggregate):
                     extra: Sequence[float]) -> AggregateIndex:
         x, y = segment_pair(columns)
         return _SlopeIndex(x, y)
+
+    def batch_kernel(self, columns: Sequence[np.ndarray],
+                     extra: Sequence[float]) -> BatchKernel:
+        x, y = segment_pair(columns)
+
+        def kernel(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+            n = ends - starts + 1
+            sx, sxx, sxy, sy = row_sums((x, y), starts, ends,
+                                        lambda x, y: (x, x * x, x * y, y))
+            with np.errstate(all="ignore"):
+                mean_x = sx / n
+                var_x = sxx / n - mean_x * mean_x
+                slope = (sxy / n - mean_x * (sy / n)) / var_x
+            return np.where((n < 2) | (var_x <= _EPSILON), 0.0, slope)
+
+        return kernel
 
 
 class Median(Aggregate):

@@ -4,7 +4,8 @@ An ``And`` joins segments with *identical* positions; the search space is
 passed to children unchanged.  Probe variants collapse the probed child's
 space to the exact segment produced by the other child — the paper's key
 pruning device for conjunctions (e.g. DIFF pruning DOWN) — and hand all
-of the driving child's exact spaces to the probed child in one call.
+of the driving child's exact spaces to the probed child in one call
+(:class:`~repro.exec.base.ProbeOperator`).
 
 An ``Or`` unions both children's emissions; no probe variant exists.
 
@@ -16,10 +17,11 @@ operation (docs/VECTORIZATION.md, "Past the leaf").
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, Set
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
-                             adjacency, merged_key, projected_key)
+                             ProbeOperator, adjacency, merged_key,
+                             projected_key)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -66,30 +68,26 @@ class SortMergeAnd(_Binary):
                                     reach_of)
 
 
-class _ProbeAnd(_Binary):
+class _ProbeAnd(ProbeOperator, _Binary):
     """Enumerate one child; probe the other with the exact segment."""
 
-    def _probe_and(self, ctx: ExecContext, sp: SearchSpace, refs: Env,
-                   driver: PhysicalOperator,
-                   probed: PhysicalOperator) -> Iterator[Segment]:
-        self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        jobs = ((SearchSpace.exact(anchor.start, anchor.end), anchor)
-                for anchor in driver.eval(ctx, sp, refs))
-        seen = set()
-        for anchor, found in self.probe_each(ctx, sp, probed, jobs, refs):
-            # The exact probe pins the bounds but not this operator's
-            # own window, which the driver never saw.
-            if not found or not self.window.accepts(
-                    ctx.series, anchor.start, anchor.end):
-                continue
-            akey = projected_key(anchor, self.publish)
-            yield from self.emit_fresh(ctx, seen, {
-                (anchor.start, anchor.end,
+    def driver_space(self, sp: SearchSpace) -> SearchSpace:
+        return sp
+
+    def probe_space(self, ctx: ExecContext, sp: SearchSpace,
+                    anchor: Segment) -> SearchSpace:
+        return SearchSpace.exact(anchor.start, anchor.end)
+
+    def joined(self, ctx: ExecContext, anchor: Segment,
+               found: List[Segment]) -> Set[Tuple[int, int, PayloadKey]]:
+        # The exact probe pins the bounds but not this operator's own
+        # window, which the driver never saw.
+        if not self.window.accepts(ctx.series, anchor.start, anchor.end):
+            return set()
+        akey = projected_key(anchor, self.publish)
+        return {(anchor.start, anchor.end,
                  merged_key(akey, projected_key(other, self.publish)))
-                for other in found})
+                for other in found}
 
 
 class RightProbeAnd(_ProbeAnd):
@@ -97,9 +95,13 @@ class RightProbeAnd(_ProbeAnd):
 
     name = "RightProbeAnd"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
-        return self._probe_and(ctx, sp, refs, self.left, self.right)
+    @property
+    def driver(self) -> PhysicalOperator:
+        return self.left
+
+    @property
+    def probed(self) -> PhysicalOperator:
+        return self.right
 
 
 class LeftProbeAnd(_ProbeAnd):
@@ -107,9 +109,13 @@ class LeftProbeAnd(_ProbeAnd):
 
     name = "LeftProbeAnd"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
-        return self._probe_and(ctx, sp, refs, self.right, self.left)
+    @property
+    def driver(self) -> PhysicalOperator:
+        return self.right
+
+    @property
+    def probed(self) -> PhysicalOperator:
+        return self.left
 
 
 class SortMergeOr(_Binary):

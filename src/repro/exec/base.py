@@ -454,34 +454,44 @@ class PhysicalOperator(ABC):
                 ctx.probe_cache_put(key, found)
         return [ctx.probe_cache_get(key) for key in keys]
 
-    def probe_each(self, ctx: ExecContext, sp: SearchSpace,
+    def probe_each(self, ctx: ExecContext, owners: Sequence[SearchSpace],
                    child: "PhysicalOperator",
-                   jobs: Iterable[Tuple[SearchSpace, Segment]],
-                   refs: Env) -> Iterator[Tuple[Segment, List[Segment]]]:
-        """``(anchor, child's matches)`` for every ``(space, anchor)``
-        job, in job order: the probe operators' probe loop.
+                   jobs: Iterable[Tuple[int, SearchSpace, Segment]],
+                   refs: Env
+                   ) -> Iterator[Tuple[int, Segment, List[Segment]]]:
+        """``(owner, anchor, child's matches)`` for every ``(owner,
+        space, anchor)`` job, in job order: the probe operators' one
+        probe loop.
 
-        The jobs are drained first, each anchor charged because it is
-        retained, and answered by one :meth:`probe_all`.  Under an exact
-        ``sp`` the consumer may be an existence test (``ProbeNot`` stops
-        at the first match), so each job is probed as it arrives and no
-        anchor past the first match is drawn, probed or charged.
+        ``owners`` are the clamped spaces the jobs were drawn for: one
+        under ``eval``, every outer space under ``eval_spaces``.  The jobs
+        are drained first, each anchor of a non-exact owner charged
+        because it is retained, and answered by one :meth:`probe_all`.
+        An exact owner charges none, as a per-space ``eval`` under it
+        would not: there the consumer may be an existence test
+        (``ProbeNot`` stops at the first match), so under a single exact
+        owner each job is probed as it arrives and no anchor past the
+        first match is drawn, probed or charged.
         """
-        if sp.s_lo == sp.s_hi and sp.e_lo == sp.e_hi:
+        exact = [sp.s_lo == sp.s_hi and sp.e_lo == sp.e_hi for sp in owners]
+        if len(owners) == 1 and exact[0]:
+            batches: Iterable[List[Tuple[int, SearchSpace, Segment]]] = (
+                [job] for job in jobs)
+        else:
+            drained = []
+            charge = ctx.segment_budget is not None
             for job in jobs:
-                yield job[1], self.probe_all(ctx, child, [job], refs)[0]
-            return
-        drained = []
-        charge = ctx.segment_budget is not None
-        for job in jobs:
-            ctx.tick()
-            if charge:
-                ctx.charge()
-            drained.append(job)
-        for (_, anchor), found in zip(drained, self.probe_all(
-                ctx, child, drained, refs)):
-            ctx.tick()
-            yield anchor, found
+                ctx.tick()
+                if charge and not exact[job[0]]:
+                    ctx.charge()
+                drained.append(job)
+            batches = (drained,)
+        for batch in batches:
+            for (owner, _, anchor), found in zip(batch, self.probe_all(
+                    ctx, child, [(space, anchor) for _, space, anchor
+                                 in batch], refs)):
+                ctx.tick()
+                yield owner, anchor, found
 
     # trex: no-tick(EXPLAIN rendering is bounded by plan size)
     def explain(self, indent: int = 0) -> str:
@@ -511,6 +521,94 @@ class PhysicalOperator(ABC):
 
     def __repr__(self) -> str:
         return f"<{self.describe()}>"
+
+
+class ProbeOperator(PhysicalOperator):
+    """The probe operators' one body (Section 4.3): enumerate the
+    ``driver`` child, probe the ``probed`` child once per anchor, and
+    join each anchor with what its probe found.
+
+    Subclasses say where the driver searches (:meth:`driver_space`),
+    which space an anchor probes (:meth:`probe_space`) and what an
+    anchor joins to (:meth:`joined`).  ``eval`` is the one-owner case of
+    :meth:`eval_spaces`: handed many spaces, the operator evaluates its
+    driver once over all of them (the driver's own ``eval_spaces``),
+    tags every job with the space it came from and answers all jobs with
+    one :meth:`probe_each` drain, then emits per owner with an
+    owner-local ``seen`` — what a per-space ``eval`` emits, in its order.
+    """
+
+    #: The child enumerated once per space, and the child probed per
+    #: anchor (subclasses bind them to ``left``/``right``).
+    driver: PhysicalOperator
+    probed: PhysicalOperator
+
+    @abstractmethod
+    def driver_space(self, sp: SearchSpace) -> SearchSpace:
+        """Where the driver is evaluated for the (clamped) space ``sp``."""
+
+    @abstractmethod
+    def probe_space(self, ctx: ExecContext, sp: SearchSpace,
+                    anchor: Segment) -> SearchSpace:
+        """The space ``anchor`` probes within ``sp`` (empty: none)."""
+
+    @abstractmethod
+    def joined(self, ctx: ExecContext, anchor: Segment,
+               found: List[Segment]) -> Set[Tuple[int, int, PayloadKey]]:
+        """The ``(start, end, payload key)`` triples ``anchor`` and its
+        non-empty probe result ``found`` join to."""
+
+    def eval(self, ctx: ExecContext, sp: SearchSpace,
+             refs: Env) -> Iterator[Segment]:
+        return (segment for _, segment in self._join(ctx, [sp], refs))
+
+    # trex: no-charge(the caller's probe memo charges every answered space)
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        found: List[List[Segment]] = [[] for _ in spaces]
+        for owner, segment in self._join(ctx, spaces, refs):
+            found[owner].append(segment)
+        return found
+
+    def _join(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+              refs: Env) -> Iterator[Tuple[int, Segment]]:
+        """``(owner, segment)`` for every segment emitted for
+        ``spaces[owner]``, per owner in per-space ``eval`` order."""
+        self.check_refs(refs)
+        n = len(ctx.series)
+        owners = [sp.clamp(n) for sp in spaces]
+        live = [owner for owner, sp in enumerate(owners)
+                if not sp.is_empty()]
+        if not live:
+            return
+        if len(owners) == 1:
+            # One owner streams its driver: under an exact space no
+            # anchor past the consumer's first match is drawn.
+            drawn: Iterable[Tuple[int, Iterable[Segment]]] = [
+                (0, self.driver.eval(ctx, self.driver_space(owners[0]),
+                                     refs))]
+        else:
+            drawn = zip(live, self.driver.eval_spaces(
+                ctx, [self.driver_space(owners[owner]) for owner in live],
+                refs))
+
+        def jobs() -> Iterator[Tuple[int, SearchSpace, Segment]]:
+            for owner, anchors in drawn:
+                sp = owners[owner]
+                for anchor in anchors:
+                    ctx.tick()
+                    probe = self.probe_space(ctx, sp, anchor)
+                    if not probe.is_empty():
+                        yield owner, probe, anchor
+
+        seen: List[Set[Tuple[int, int, PayloadKey]]] = [
+            set() for _ in owners]
+        for owner, anchor, found in self.probe_each(
+                ctx, owners, self.probed, jobs(), refs):
+            if found:
+                for segment in self.emit_fresh(
+                        ctx, seen[owner], self.joined(ctx, anchor, found)):
+                    yield owner, segment
 
 
 def projected_key(segment: Segment, keep: FrozenSet[str]) -> PayloadKey:

@@ -11,7 +11,8 @@ classic disjoint point-variable join.
   additionally tightened by the embedded window anchored at the known
   segment end/start, which is where search-space pruning pays off.  They
   drain the driving child first and probe with all its spaces in one
-  call (:meth:`~repro.exec.base.PhysicalOperator.probe_each`);
+  call (:class:`~repro.exec.base.ProbeOperator`), and when probed
+  themselves they answer all their spaces in one such drain;
 * :class:`WildWindowConcat` (WConcat) fuses the ``X W Y`` chain around a
   window-only padding variable, pairing X and Y directly without
   materializing the padding segments.
@@ -26,10 +27,11 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, Set
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
-                             adjacency, merged_key, projected_key)
+                             ProbeOperator, adjacency, merged_key,
+                             projected_key)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -82,70 +84,66 @@ class SortMergeConcat(_BinaryConcat):
         yield from self.emit_starts(ctx, sp, lefts, reach_of)
 
 
-class RightProbeConcat(_BinaryConcat):
+class RightProbeConcat(ProbeOperator, _BinaryConcat):
     """Enumerate the left child; probe the right at each boundary."""
 
     name = "RightProbeConcat"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
-        self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        def jobs():
-            for left in self.left.eval(ctx, sp.concat_left(self.gap), refs):
-                ctx.tick()
-                # The result spans [left.start, e]: tighten the probed end
-                # range with the embedded window anchored at left.start.
-                e_lo, e_hi = self.window.end_range(ctx.series, left.start)
-                probe = SearchSpace(left.end + self.gap, left.end + self.gap,
-                                    max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
-                if not probe.is_empty():
-                    yield probe, left
+    @property
+    def driver(self) -> PhysicalOperator:
+        return self.left
 
-        seen = set()
-        for left, rights in self.probe_each(ctx, sp, self.right, jobs(),
-                                            refs):
-            if rights:
-                lkey = projected_key(left, self.publish)
-                yield from self.emit_fresh(ctx, seen, {
-                    (left.start, right.end,
-                     merged_key(lkey, projected_key(right, self.publish)))
-                    for right in rights})
+    @property
+    def probed(self) -> PhysicalOperator:
+        return self.right
+
+    def driver_space(self, sp: SearchSpace) -> SearchSpace:
+        return sp.concat_left(self.gap)
+
+    def probe_space(self, ctx: ExecContext, sp: SearchSpace,
+                    left: Segment) -> SearchSpace:
+        # The result spans [left.start, e]: tighten the probed end range
+        # with the embedded window anchored at left.start.
+        e_lo, e_hi = self.window.end_range(ctx.series, left.start)
+        return SearchSpace(left.end + self.gap, left.end + self.gap,
+                           max(sp.e_lo, e_lo), min(sp.e_hi, e_hi))
+
+    def joined(self, ctx: ExecContext, left: Segment,
+               rights: List[Segment]) -> Set[Tuple[int, int, PayloadKey]]:
+        lkey = projected_key(left, self.publish)
+        return {(left.start, right.end,
+                 merged_key(lkey, projected_key(right, self.publish)))
+                for right in rights}
 
 
-class LeftProbeConcat(_BinaryConcat):
+class LeftProbeConcat(ProbeOperator, _BinaryConcat):
     """Enumerate the right child; probe the left at each boundary."""
 
     name = "LeftProbeConcat"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
-        self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        def jobs():
-            for right in self.right.eval(ctx, sp.concat_right(self.gap),
-                                         refs):
-                ctx.tick()
-                s_lo, s_hi = self.window.start_range(ctx.series, right.end)
-                probe = SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
-                                    right.start - self.gap,
-                                    right.start - self.gap)
-                if not probe.is_empty():
-                    yield probe, right
+    @property
+    def driver(self) -> PhysicalOperator:
+        return self.right
 
-        seen = set()
-        for right, lefts in self.probe_each(ctx, sp, self.left, jobs(),
-                                            refs):
-            if lefts:
-                rkey = projected_key(right, self.publish)
-                yield from self.emit_fresh(ctx, seen, {
-                    (left.start, right.end,
-                     merged_key(projected_key(left, self.publish), rkey))
-                    for left in lefts})
+    @property
+    def probed(self) -> PhysicalOperator:
+        return self.left
+
+    def driver_space(self, sp: SearchSpace) -> SearchSpace:
+        return sp.concat_right(self.gap)
+
+    def probe_space(self, ctx: ExecContext, sp: SearchSpace,
+                    right: Segment) -> SearchSpace:
+        s_lo, s_hi = self.window.start_range(ctx.series, right.end)
+        return SearchSpace(max(sp.s_lo, s_lo), min(sp.s_hi, s_hi),
+                           right.start - self.gap, right.start - self.gap)
+
+    def joined(self, ctx: ExecContext, right: Segment,
+               lefts: List[Segment]) -> Set[Tuple[int, int, PayloadKey]]:
+        rkey = projected_key(right, self.publish)
+        return {(left.start, right.end,
+                 merged_key(projected_key(left, self.publish), rkey))
+                for left in lefts}
 
 
 class WildWindowConcat(PhysicalOperator):

@@ -11,7 +11,7 @@ predicate that could not be pushed down.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator
 from repro.lang import expr as E
@@ -47,9 +47,31 @@ class FilterOp(PhysicalOperator):
         sp = sp.clamp(len(ctx.series))
         if sp.is_empty():
             return
+        yield from self._filter(ctx, self.child.eval(ctx, sp, refs), refs)
+
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> List[List[Segment]]:
+        """Forwarded: the child answers every non-empty space in one
+        ``eval_spaces`` call (a probed probe operator coalesces), and
+        each space's segments are filtered in its own order."""
+        self.check_refs(refs)
+        n = len(ctx.series)
+        owners = [sp.clamp(n) for sp in spaces]
+        live = [owner for owner, sp in enumerate(owners)
+                if not sp.is_empty()]
+        found: List[List[Segment]] = [[] for _ in spaces]
+        if not live:
+            return found
+        for owner, segments in zip(live, self.child.eval_spaces(
+                ctx, [owners[owner] for owner in live], refs)):
+            found[owner] = list(self._filter(ctx, segments, refs))
+        return found
+
+    def _filter(self, ctx: ExecContext, segments: Iterable[Segment],
+                refs: Env) -> Iterator[Segment]:
         provider = ctx.indexed_provider if self.use_index \
             else ctx.direct_provider
-        for segment in self.child.eval(ctx, sp, refs):
+        for segment in segments:
             ctx.tick()
             env = dict(refs)
             env.update(segment.payload)

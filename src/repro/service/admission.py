@@ -42,7 +42,7 @@ class TokenBucket:
 
     def __init__(self, rate: float, burst: int,
                  clock: Clock = time.monotonic):
-        if rate <= 0 or burst < 1:
+        if not (rate > 0 and burst >= 1):  # NaN fails both
             raise ValueError("rate must be positive and burst >= 1")
         self.rate = rate
         self.burst = burst

@@ -94,14 +94,22 @@ def error_payload(error: BaseException) -> dict:
 
 def _request_number(body: dict, key: str, convert, default):
     """``convert(body[key])``, or ``default`` when the key is absent or
-    ``null``; a value ``convert`` refuses is the client's fault (400)."""
+    ``null``; a value ``convert`` refuses or would change is the
+    client's fault (400): JSON ``true`` is not the number 1, and ``2.9``
+    is not the integer 2."""
     value = body.get(key)
     if value is None:
         return default
     try:
-        return convert(value)
+        if isinstance(value, bool):
+            raise TypeError(value)
+        number = convert(value)
+        if convert is int and isinstance(value, float) and number != value:
+            raise ValueError(value)
+        return number
     except (TypeError, ValueError, OverflowError):
-        raise ServiceError(f"{key} must be a number, got {value!r}") \
+        kind = "an integer" if convert is int else "a number"
+        raise ServiceError(f"{key} must be {kind}, got {value!r}") \
             from None
 
 

@@ -35,14 +35,16 @@ class TenantConfig:
     max_timeout_seconds: float = 30.0
     max_segments: Optional[int] = None
 
+    # ``not value > 0`` rather than ``value <= 0``: NaN fails every
+    # comparison, so only the negated form rejects it.
     def validate(self) -> None:
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ServiceError("tenant rate must be positive")
         if self.burst < 1:
             raise ServiceError("tenant burst must be >= 1")
         if self.max_concurrent < 1:
             raise ServiceError("tenant max_concurrent must be >= 1")
-        if self.max_timeout_seconds <= 0:
+        if not self.max_timeout_seconds > 0:
             raise ServiceError("tenant max_timeout_seconds must be positive")
         if self.max_segments is not None and self.max_segments < 1:
             raise ServiceError("tenant max_segments must be >= 1")
@@ -68,7 +70,8 @@ class RetryConfig:
     def validate(self) -> None:
         if self.max_attempts < 1:
             raise ServiceError("retry max_attempts must be >= 1")
-        if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
+        if not (self.base_delay_seconds >= 0
+                and self.max_delay_seconds >= 0):
             raise ServiceError("retry delays must be non-negative")
         if not 0 <= self.jitter_ratio <= 1:
             raise ServiceError("retry jitter_ratio must be in [0, 1]")
@@ -94,7 +97,7 @@ class BreakerConfig:
     def validate(self) -> None:
         if self.fallback_threshold < 1:
             raise ServiceError("breaker fallback_threshold must be >= 1")
-        if self.window_seconds <= 0 or self.cooldown_seconds <= 0:
+        if not (self.window_seconds > 0 and self.cooldown_seconds > 0):
             raise ServiceError("breaker windows must be positive")
 
 
@@ -148,7 +151,7 @@ class ServiceConfig:
         if self.engine.timeout_seconds is None:
             raise ServiceError("engine.timeout_seconds (the default "
                                "request deadline) must be set")
-        if self.drain_timeout_seconds <= 0:
+        if not self.drain_timeout_seconds > 0:
             raise ServiceError("drain_timeout_seconds must be positive")
         self.default_tenant.validate()
         for tenant in self.tenants.values():

@@ -188,9 +188,32 @@ def test_declarations_are_honest():
         "mann_kendall_test", "avg", "stddev"}
     assert {a.name for a in DIRECT} >= {
         "zscore_outlier", "mann_kendall_test", "min", "max", "count"}
-    # np.sum accumulates pairwise: no exact batched left fold exists.
-    assert not DEFAULT_REGISTRY.get("sum").has_batch_kernel
-    assert not DEFAULT_REGISTRY.get("avg").has_batch_kernel
+    # np.sum accumulates pairwise: these reduce equal-length rows.
+    assert {a.name for a in DIRECT} >= set(ROW_SUM_AGGREGATES)
+
+
+#: The direct kernels built on ``row_sums``.
+ROW_SUM_AGGREGATES = ("sum", "avg", "slope", "linear_regression_r2",
+                      "linear_regression_r2_signed")
+
+
+@pytest.mark.parametrize("name", ROW_SUM_AGGREGATES)
+def test_row_sums_span_many_blocks_and_lengths(name):
+    """Long segments, many of one length (a group spans several
+    ``BLOCK_CELLS`` blocks) and a shuffled order, on a large offset."""
+    agg = DEFAULT_REGISTRY.get(name)
+    rng = np.random.default_rng(7)
+    n = 6000
+    x = np.arange(n, dtype=np.float64) + 1e8
+    y = np.cumsum(rng.normal(0, 1, n)) + 1e6
+    lengths = np.concatenate((rng.integers(1, 2500, 60),
+                              np.full(40, 900), np.full(30, 1)))
+    starts = rng.integers(0, n - lengths).astype(np.int64)
+    ends = starts + lengths - 1
+    columns = columns_for(agg, x, y)
+    want = [agg.evaluate([c[s:e + 1] for c in columns], [])
+            for s, e in zip(starts.tolist(), ends.tolist())]
+    assert same_bits(agg.batch_kernel(columns, [])(starts, ends), want)
 
 
 def test_registered_uda_joins_by_declaration():

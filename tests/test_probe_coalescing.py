@@ -2,9 +2,12 @@
 
 A probe operator drains its driving child and hands every probe space to
 the probed child in one ``eval_spaces`` call
-(``PhysicalOperator.probe_all``).
-The contract under test, for each leaf kind and on every template
-variable: ``op.eval_spaces(ctx, spaces, refs)`` equals
+(``PhysicalOperator.probe_all``); probed itself, it answers all its
+spaces in one such drain (``ProbeOperator``).
+The contract under test, for each leaf kind on every template variable,
+and for each probe operator (bare, under a ``FilterOp``, probing another
+probe operator) over template leaves: ``op.eval_spaces(ctx, spaces,
+refs)`` equals
 ``[list(op.eval(ctx, sp, refs)) for sp in spaces]`` — segments, payloads,
 order, ``ctx.stats`` and per-operator counters — under either evaluator
 and on either side of ``BATCH_CROSSOVER`` (docs/VECTORIZATION.md,
@@ -20,6 +23,7 @@ from repro.errors import ResourceBudgetExceeded
 from repro.exec.and_or import LeftProbeAnd, RightProbeAnd
 from repro.exec.base import ExecContext
 from repro.exec.concat import LeftProbeConcat, RightProbeConcat
+from repro.exec.filter_op import FilterOp
 from repro.exec.metrics import RunMetrics
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
 from repro.exec.not_op import ProbeNot
@@ -90,8 +94,11 @@ def setting(template, name):
 
 
 def answer(op, series, spaces, refs, vectorize, coalesced):
+    """Segments per space, ``ctx.stats``, per-op counters and the
+    segments charged against a (never exceeded) budget."""
     metrics = RunMetrics()
-    ctx = ExecContext(series, metrics=metrics, vectorize=vectorize)
+    ctx = ExecContext(series, metrics=metrics, vectorize=vectorize,
+                      segment_budget=10 ** 9)
     if coalesced:
         found = op.eval_spaces(ctx, spaces, refs)
     else:
@@ -100,7 +107,7 @@ def answer(op, series, spaces, refs, vectorize, coalesced):
                 for op_id, record in metrics.ops.items() if record.counters}
     return ([[(seg.bounds, seg.payload) for seg in segments]
              for segments in found],
-            sorted(ctx.stats.items()), counters)
+            sorted(ctx.stats.items()), counters, ctx.segments_charged)
 
 
 @pytest.mark.parametrize("vectorize", [True, False],
@@ -116,6 +123,84 @@ def test_eval_spaces_equals_eval_per_space(template, name, vectorize):
                 want = answer(op, series, spaces, refs, vectorize, False)
                 got = answer(op, series, spaces, refs, vectorize, True)
                 assert got == want, (kind, seed, publish)
+
+
+def probe_families(a, b, window):
+    """The four probe operators with ``a`` driving and ``b`` probed."""
+    publish = a.publish | b.publish
+    return {
+        "RightProbeConcat": RightProbeConcat(a, b, 0, window,
+                                             publish=publish),
+        "LeftProbeConcat": LeftProbeConcat(b, a, 0, window,
+                                           publish=publish),
+        "RightProbeAnd": RightProbeAnd(a, b, window, publish=publish),
+        "LeftProbeAnd": LeftProbeAnd(b, a, window, publish=publish),
+    }
+
+
+def probe_operators(template):
+    """Every probe family over two of the template's condition leaves,
+    bare, under a ``FilterOp`` that re-checks the driver's condition on
+    its payload, and probing a probe operator (``nested``); with the
+    series and the external references they need."""
+    query = template.compile(template.param_sets()[0])
+    names = [name for name in sorted(query.variables)
+             if query.variables[name].condition is not None][:2]
+    a_name, b_name = (names * 2)[:2]
+    a_var, series, refs = setting(template, a_name)
+    b_var, _, b_refs = setting(template, b_name)
+    refs = {**b_refs, **refs}
+    a = SegGenIndexing(a_var, a_var.window_conjunction,
+                       publish=frozenset({a_name}))
+    b = SegGenFilter(b_var, b_var.window_conjunction,
+                     publish=frozenset({b_name}))
+    window = WindowConjunction([WindowSpec.point(1, 25)])
+    ops = {}
+    for family, op in probe_families(a, b, window).items():
+        ops[family] = op
+        ops[f"{family}/filtered"] = FilterOp(
+            op, [(a_name, a_var.condition)], WindowConjunction.wild(),
+            publish=op.publish, requires=frozenset(a_var.external_refs))
+        inner = RightProbeAnd(SegGenWindow(b_var.window_conjunction),
+                              SegGenFilter(b_var, b_var.window_conjunction,
+                                           publish=frozenset({b_name})),
+                              WindowConjunction.wild(),
+                              publish=frozenset({b_name}))
+        ops[f"{family}/nested"] = probe_families(a, inner, window)[family]
+    return ops, series, refs
+
+
+@pytest.mark.parametrize("vectorize", [True, False],
+                         ids=["vector", "scalar"])
+@pytest.mark.parametrize("template", ALL_TEMPLATES, ids=lambda t: t.name)
+def test_probe_operators_answer_spaces_like_eval(template, vectorize):
+    """Nested coalescing: a probe operator handed many spaces drives once
+    over all of them and answers all its jobs in one drain, yet each
+    space gets what a per-space ``eval`` yields, counters and anchor
+    charges included (none under an exact space)."""
+    ops, series, refs = probe_operators(template)
+    n = len(series)
+    spaces = probe_spaces(n, 3)
+    for kind, op in ops.items():
+        want = answer(op, series, spaces, refs, vectorize, False)
+        got = answer(op, series, spaces, refs, vectorize, True)
+        assert got == want, kind
+
+
+def test_a_probed_probe_operator_drives_once():
+    """Entered once for all its spaces: its driver and its probed leaf
+    each see one ``eval_spaces`` call, where per-space entry made one
+    call per space."""
+    template = next(t for t in ALL_TEMPLATES if t.name == "head_shldr")
+    ops, series, refs = probe_operators(template)
+    op = ops["LeftProbeAnd"]
+    spaces = [SearchSpace(s, s, s + 3, s + 20) for s in range(0, 40, 2)]
+    metrics = RunMetrics()
+    ctx = ExecContext(series, metrics=metrics)
+    op.eval_spaces(ctx, spaces, refs)
+    assert [metrics.ops[child.op_id].eval_calls
+            for child in (op, op.driver, op.probed)] == [1, 1, 1]
+    assert metrics.ops[op.driver.op_id].spaces == len(spaces)
 
 
 def test_small_spaces_stay_below_the_crossover():
@@ -161,20 +246,23 @@ def probed(host, child, series, jobs):
 
 def test_faults_armed_answer_each_space_through_eval():
     """Fault points live in the scalar call graph: with any fault armed,
-    the leaf's ``eval_spaces`` entry answers every missed space through
-    its own ``exec.<Op>.eval`` point — the same answer, and EXPLAIN
-    ANALYZE sees one ``eval`` per space."""
-    op, series = rising_leaf()
-    host = RightProbeConcat(SegGenWindow(WindowConjunction.wild()), op,
-                            0, WindowConjunction.wild())
+    a probed child's ``eval_spaces`` entry — a leaf's, or a probe
+    operator's — answers every missed space through its own
+    ``exec.<Op>.eval`` point: the same answer, and EXPLAIN ANALYZE sees
+    one ``eval`` per space."""
+    leaf, series = rising_leaf()
+    wild = WindowConjunction.wild()
+    probe_op = RightProbeAnd(SegGenWindow(leaf.window), leaf, wild)
     jobs = [(SearchSpace.exact(s, s + 6), Segment(0, s)) for s in range(5)]
-    found, stats, record = probed(host, op, series, jobs)
-    assert record.eval_calls == 1
-    with faults.inject("exec.SegGenFilter.eval", times=0) as spec:
-        armed = probed(host, op, series, jobs)
-    assert spec.hits == len(jobs)
-    assert armed[:2] == (found, stats)
-    assert armed[2].eval_calls == armed[2].spaces == len(jobs)
+    for op in (leaf, probe_op):
+        host = RightProbeConcat(SegGenWindow(wild), op, 0, wild)
+        found, stats, record = probed(host, op, series, jobs)
+        assert record.eval_calls == 1
+        with faults.inject(f"exec.{op.name}.eval", times=0) as spec:
+            armed = probed(host, op, series, jobs)
+        assert spec.hits == len(jobs)
+        assert armed[:2] == (found, stats)
+        assert armed[2].eval_calls == armed[2].spaces == len(jobs)
 
 
 def test_shim_counts_one_entry_per_coalesced_call():

@@ -27,6 +27,8 @@ from repro.service import (AdmissionController, BackgroundService,
                            check_report, run_load)
 from repro.service.retry import transient_series_errors
 
+NAN = float("nan")
+
 
 class FakeClock:
     def __init__(self, now: float = 0.0):
@@ -229,6 +231,23 @@ class TestServiceConfig:
         with pytest.raises(ServiceError):
             ServiceConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("build", [
+        lambda: TenantConfig(rate=NAN).validate(),
+        lambda: TenantConfig(max_timeout_seconds=NAN).validate(),
+        lambda: RetryConfig(base_delay_seconds=NAN).validate(),
+        lambda: RetryConfig(max_delay_seconds=NAN).validate(),
+        lambda: BreakerConfig(window_seconds=NAN).validate(),
+        lambda: BreakerConfig(cooldown_seconds=NAN).validate(),
+        lambda: ServiceConfig(drain_timeout_seconds=NAN).validate(),
+        lambda: TokenBucket(NAN, 2),
+    ], ids=["rate", "max_timeout", "base_delay", "max_delay", "window",
+            "cooldown", "drain_timeout", "token_bucket"])
+    def test_nan_is_rejected(self, build):
+        """NaN fails every comparison: a NaN rate would admit every
+        request, a NaN timeout cap would clamp nothing."""
+        with pytest.raises((ServiceError, ValueError)):
+            build()
+
     def test_unknown_tenant_gets_default(self):
         config = ServiceConfig(
             tenants={"vip": TenantConfig(rate=999.0)})
@@ -359,6 +378,8 @@ def _outcome(status, body):
     {"limit": "ten"}, {"limit": [3]}, {"limit": float("inf")},
     {"timeout_seconds": "soon"}, {"timeout_seconds": float("nan")},
     {"max_segments": "lots"},
+    {"limit": True}, {"limit": 2.9}, {"max_segments": True},
+    {"max_segments": 2.5}, {"timeout_seconds": True},
     {"limit": None}, {"timeout_seconds": None}, {"max_segments": None},
     {"on_error": None}, {"tenant": None},
 ], ids=repr)

@@ -187,6 +187,49 @@ def test_deadline_fires_inside_the_probe_drain(family):
     assert probed_child(op).entered == 0
 
 
+class _EntryTicks(_StaticOp):
+    """A static child that notes the tick count at its first entry."""
+
+    def __init__(self, bounds=SEGMENTS):
+        super().__init__(bounds)
+        self.first_tick = None
+
+    def eval(self, ctx, sp, refs):
+        if self.first_tick is None:
+            self.first_tick = ctx._ticks
+        return super().eval(ctx, sp, refs)
+
+
+def nested_probe(family):
+    """``family`` over dense children, probed by a ``RightProbeConcat``
+    over a dense driver: it gets one space per outer anchor, in one
+    ``eval_spaces`` call."""
+    inner = DENSE_FAMILIES[family]()
+    inner.left, inner.right = _EntryTicks(DENSE), _EntryTicks(DENSE)
+    return RightProbeConcat(_StaticOp(DENSE), inner, 0, WILD), inner
+
+
+@pytest.mark.parametrize("family", PROBE_FAMILIES)
+def test_deadline_fires_inside_a_nested_drain(family):
+    """Probed itself, a probe operator drives once over all its spaces
+    and drains every anchor before it probes: a deadline can stop that
+    nested drain, after its driver ran and before its probed child is
+    ever entered."""
+    series = make_series(np.zeros(DENSE_N))
+    full = SearchSpace.full(DENSE_N)
+    outer, inner = nested_probe(family)
+    counting = ExecContext(series, deadline=time.perf_counter() + 60.0)
+    list(outer.eval(counting, full, {}))
+    drove, probed = inner.driver.first_tick, inner.probed.first_tick
+    assert probed - drove > 2 * IN_DRAIN
+    outer, inner = nested_probe(family)
+    ctx = ExecContext(series, deadline=time.perf_counter() - 1.0)
+    ctx.TICK_STRIDE = drove + IN_DRAIN
+    with pytest.raises(QueryTimeout):
+        next(outer.eval(ctx, full, {}))
+    assert inner.driver.entered > 0 and inner.probed.entered == 0
+
+
 @pytest.mark.parametrize("on_error", ["raise", "partial"])
 def test_deadline_inside_the_drain_under_each_policy(on_error, monkeypatch):
     """Through the engine: the drain's timeout raises under ``raise`` and

@@ -235,7 +235,7 @@ class TestStrategySelection:
             == (0, 1)
 
     def test_uncompilable_condition_reports_why(self, wave):
-        op = seg_leaf(SegGenFilter, "avg(S.val) > 0.0")
+        op = seg_leaf(SegGenFilter, "median(S.val) > 0.0")
         assert self.calls(op, wave, SearchSpace.full(len(wave))) \
             == (0, 1, "no exact batch direct evaluation")
 
@@ -271,11 +271,9 @@ class TestDegenerateSeries:
 
 class TestFallback:
     def test_unsupported_condition_falls_back(self, wave):
-        # Direct linear_reg_r2_signed folds np.sum over slices, which no
-        # batch kernel reproduces: try_eval must decline and the scalar
-        # loop must produce the usual answer either way.
-        op = seg_leaf(SegGenFilter,
-                      "linear_reg_r2_signed(S.tstamp, S.val) >= 0.2")
+        # Direct median has no exact batch form: try_eval must decline
+        # and the scalar loop must produce the usual answer either way.
+        op = seg_leaf(SegGenFilter, "median(S.val) >= 0.2")
         ctx = ExecContext(wave, vectorize=True)
         assert vector.try_eval(op, ctx, SearchSpace.full(len(wave)), {},
                                None, "direct") is None
@@ -304,11 +302,10 @@ class TestFallback:
                 == (program is not None)
             return reason
 
-        # avg/sum are exact through prefix sums but not through a direct
-        # batched fold (np.sum accumulates pairwise).
+        # median and max_drawdown have no exact batch form at all.
         assert why("avg(S.val) > 0.0", "indexed") == ""
-        assert why("avg(S.val) > 0.0", "direct") \
-            == why("sum(S.val) > 0.0", "direct") \
+        assert why("median(S.val) > 0.0", "direct") \
+            == why("max_drawdown(S.val) > 0.1", "indexed") \
             == "no exact batch direct evaluation"
         assert why("equal_up_down_ticks(S.val)", "indexed") \
             == "no exact batch lookup"
@@ -354,15 +351,13 @@ def test_template_coverage_ledger():
     rows = template_ledger()
     assert committed == rows, "docs/VECTORIZATION.md ledger is stale; " \
         "expected rows:\n" + "\n".join(rows)
-    # The only template conditions left on the scalar loop: nothing on
-    # the indexed path but AFA_Q1's tick balance, and on the direct path
-    # the two aggregates whose np.sum folds have no exact batch form.
+    # The only template condition left on the scalar loop, on either
+    # path: AFA_Q1's tick balance, which declares no batch form.
     cells = [[cell.strip() for cell in row.split("|")[1:-1]]
              for row in rows]
-    assert [(c[0], c[1]) for c in cells if c[5] != "batch"] \
-        == [("`AFA_Q1`", "`EQ_FALL_AND_RISE`")]
-    assert all("linear_reg_r2_signed(" in c[3] or "equal_up_down" in c[3]
-               for c in cells if c[4] != "batch")
+    for column in (4, 5):
+        assert [(c[0], c[1]) for c in cells if c[column] != "batch"] \
+            == [("`AFA_Q1`", "`EQ_FALL_AND_RISE`")]
 
 
 class TestSuspensionExactCounters:
