@@ -34,11 +34,16 @@ PRAGMA_RE = re.compile(r"#\s*trex:\s*([a-z-]+)\(([^)]*)\)")
 TICK_CALL_NAMES = frozenset({"tick", "tick_batch"})
 
 #: Call names that satisfy the charge contract directly
-#: (``probe_cache_put`` charges internally under a budget).
-CHARGE_CALL_NAMES = frozenset({"charge", "probe_cache_put"})
+#: (``probe_cache_put`` charges internally under a budget, and a join's
+#: ``drain`` charges every row of the child batch it returns).
+CHARGE_CALL_NAMES = frozenset({"charge", "probe_cache_put", "drain"})
 
 #: Method names whose call on a collection marks a materialization site.
 MATERIALIZE_CALL_NAMES = frozenset({"append", "add", "extend"})
+
+#: Calls that build the join stage's batch type from rows
+#: (``repro.exec.batch.Batch``): a batch drain site without a loop.
+BATCH_BUILDERS = frozenset({"Batch", "Batch.of", "Batch.leaf"})
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,21 @@ def collect_call_names(node: ast.AST) -> Set[str]:
         if name is not None:
             names.add(name)
     return names
+
+
+def batch_drain(func: ast.FunctionDef) -> Optional[str]:
+    """How ``func`` keeps segments as a batch, if it does: it assigns a
+    child's ``eval_spaces`` result, or builds a
+    :data:`BATCH_BUILDERS` batch.  ``None`` otherwise."""
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                and node.value is not None \
+                and "eval_spaces" in collect_call_names(node.value):
+            return "keeps a child's eval_spaces batch"
+        if isinstance(node, ast.Call) \
+                and dotted_name(node.func) in BATCH_BUILDERS:
+            return f"builds a batch ({dotted_name(node.func)})"
+    return None
 
 
 def parse_module(relpath: str, source: str) -> ModuleInfo:

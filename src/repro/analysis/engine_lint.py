@@ -305,6 +305,18 @@ class _Analyzer:
                        func: astutil.FunctionInfo) -> None:
         if func.calls & astutil.CHARGE_CALL_NAMES:
             return
+        drain = astutil.batch_drain(func.node)
+        if drain is not None:
+            self._emit(
+                module.relpath, "TRX302",
+                f"{func.qualname} {drain} but never charges the "
+                f"segment budget",
+                func.lineno, func.node.col_offset + 1, func.qualname,
+                hint="charge the batch's rows once (`if "
+                     "ctx.segment_budget is not None: "
+                     "ctx.charge(batch.rows)`), or annotate "
+                     "# trex: no-charge(<reason>)")
+            return
         for loop in astutil.function_loops(func.node):
             names = astutil.collect_call_names(loop.node)
             if names & astutil.MATERIALIZE_CALL_NAMES:

@@ -28,6 +28,7 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.exec.and_or import (LeftProbeAnd, RightProbeAnd, SortMergeAnd,
                                SortMergeOr)
 from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.batch import Batch
 from repro.exec.concat import (LeftProbeConcat, RightProbeConcat,
                                SortMergeConcat, WildWindowConcat)
 from repro.exec.filter_op import FilterOp
@@ -243,7 +244,7 @@ class _ContractCheck(RunMetrics):
 
     def observe_spaces(self, op: PhysicalOperator, method: Callable,
                        ctx: ExecContext, spaces: Sequence[SearchSpace],
-                       refs: Env) -> List[List[Segment]]:
+                       refs: Env) -> Batch:
         found = method(op, ctx, spaces, refs)
         for sp, segments in zip(spaces, found):
             clamped = sp.clamp(len(ctx.series))

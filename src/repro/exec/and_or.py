@@ -9,19 +9,23 @@ of the driving child's exact spaces to the probed child in one call
 
 An ``Or`` unions both children's emissions; no probe variant exists.
 
-The sort-merge variants hold both children as start -> end-set adjacency
-and intersect (And) or union (Or) the end-sets of each start in one set
-operation (docs/VECTORIZATION.md, "Past the leaf").
+The sort-merge variants evaluate each child once over all their spaces
+and join owner-tagged batches (docs/VECTORIZATION.md, "Past the leaf:
+the join stage"): And pairs the rows with equal ``(owner, start, end)``
+codes by ``searchsorted``, Or takes the union of both sides.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
-                             ProbeOperator, adjacency, merged_key,
-                             projected_key)
+import numpy as np
+
+from repro.exec.base import (Env, ExecContext, PhysicalOperator,
+                             ProbeOperator, SetOperator, clamp_spaces,
+                             owners_of, projected_key)
+from repro.exec.batch import (FREE, Batch, PayloadKey, expand, joined,
+                              member, merged_key, ordered, sorted_codes)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -40,32 +44,42 @@ class _Binary(PhysicalOperator):
         return (self.left, self.right)
 
 
-class SortMergeAnd(_Binary):
+class SortMergeAnd(SetOperator, _Binary):
     """Evaluate both children once, join segments with identical bounds."""
 
     name = "SortMergeAnd"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        lefts = adjacency(ctx, self.left.eval(ctx, sp, refs), self.publish)
-        if not lefts:
-            return  # early termination
-        rights = adjacency(ctx, self.right.eval(ctx, sp, refs), self.publish)
-
-        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
-            reach = defaultdict(set)
-            for lkey, ends in lefts[start].items():
-                for rkey, same in rights[start].items():
-                    ctx.tick()
-                    reach[merged_key(lkey, rkey)] |= ends & same
-            return reach
-
-        yield from self.emit_starts(ctx, sp, lefts.keys() & rights.keys(),
-                                    reach_of)
+        owners, live = clamp_spaces(ctx, spaces)
+        lefts = self.drain(ctx, self.left, live,
+                           [owners[owner] for owner in live], refs)
+        if not lefts.rows:
+            return Batch.empty(len(spaces))  # early termination
+        asked = owners_of(lefts)
+        rights = self.drain(ctx, self.right, asked,
+                            [owners[owner] for owner in asked], refs)
+        if not rights.rows:
+            return Batch.empty(len(spaces))
+        keep, e_lo, e_hi = self.clip(ctx, owners, lefts.owners,
+                                     lefts.starts)
+        keep &= (lefts.ends >= e_lo) & (lefts.ends <= e_hi)
+        stride = len(ctx.series) + 1
+        order, codes = sorted_codes(
+            (rights.owners * stride + rights.starts) * stride + rights.ends)
+        joins = (lefts.owners * stride + lefts.starts) * stride + lefts.ends
+        if lefts.table == FREE and rights.table == FREE:
+            # No payloads to pair up: the answer is the intersection.
+            keep &= member(codes, joins)
+            return ordered(ctx, len(spaces), lefts.owners[keep],
+                           lefts.starts[keep], lefts.ends[keep], None, FREE)
+        lo = np.searchsorted(codes, joins, "left")
+        # A clipped-away left row matches nothing.
+        hi = np.where(keep, np.searchsorted(codes, joins, "right"), lo)
+        blocks = ((at, order[matched])
+                  for at, matched in expand(ctx, lo, hi))
+        return joined(ctx, len(spaces), lefts, rights, blocks)
 
 
 class _ProbeAnd(ProbeOperator, _Binary):
@@ -118,27 +132,27 @@ class LeftProbeAnd(_ProbeAnd):
         return self.left
 
 
-class SortMergeOr(_Binary):
+class SortMergeOr(SetOperator, _Binary):
     """Union of both children's matches within the search space."""
 
     name = "SortMergeOr"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        sides = [adjacency(ctx, child.eval(ctx, sp, refs), self.publish)
+        owners, live = clamp_spaces(ctx, spaces)
+        sides = [self.drain(ctx, child, live,
+                            [owners[owner] for owner in live], refs)
                  for child in (self.left, self.right)]
-
-        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
-            reach = defaultdict(set)
-            for side in sides:
-                for key, ends in side.get(start, {}).items():
-                    ctx.tick()
-                    reach[key] |= ends
-            return reach
-
-        yield from self.emit_starts(ctx, sp, sides[0].keys() | sides[1].keys(),
-                                    reach_of)
+        table = tuple(sorted(set(sides[0].table) | set(sides[1].table)))
+        rank = {key: at for at, key in enumerate(table)}
+        keys = np.concatenate([
+            np.array([rank[key] for key in side.table],
+                     dtype=np.int64)[side.keys] for side in sides])
+        owner, starts, ends = (np.concatenate(column) for column in zip(
+            *((side.owners, side.starts, side.ends) for side in sides)))
+        keep, e_lo, e_hi = self.clip(ctx, owners, owner, starts)
+        keep &= (ends >= e_lo) & (ends <= e_hi)
+        return ordered(ctx, len(spaces), owner[keep], starts[keep],
+                       ends[keep], None if table == FREE else keys[keep],
+                       table)

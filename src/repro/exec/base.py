@@ -16,14 +16,16 @@ import functools
 import itertools
 import time
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional, Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
+
+import numpy as np
 
 from repro.aggregates.base import Aggregate, AggregateIndex
 from repro.aggregates.registry import DEFAULT_REGISTRY, AggregateRegistry
 from repro.errors import ExecutionError, QueryTimeout, ResourceBudgetExceeded
+from repro.exec.batch import Batch, PayloadKey, distinct
 from repro.testing import faults as _faults
 from repro.lang import expr as E
 from repro.lang.windows import WindowConjunction
@@ -35,13 +37,6 @@ if TYPE_CHECKING:
     from repro.exec.metrics import RunMetrics
 
 Env = Dict[str, Tuple[int, int]]
-
-#: Canonical hashable payload (``Segment.payload_key``); ``()`` when empty.
-PayloadKey = Tuple[Tuple[str, Tuple[int, int]], ...]
-
-#: How the join stage holds a child's segments: start -> payload key ->
-#: end positions.  Payload-free segments all share the degenerate key ``()``.
-Adjacency = Dict[int, Dict[PayloadKey, Set[int]]]
 
 _op_ids = itertools.count()
 
@@ -141,16 +136,19 @@ class ExecContext:
         if self.metrics is not None:
             self.metrics.count(op, name, n)
 
-    def tick(self) -> None:
+    def tick(self, n: int = 1) -> None:
         """Cheap cooperative cancellation point for hot loops.
 
         Raises :class:`QueryTimeout` when the engine deadline has passed;
-        the clock is only consulted every :attr:`TICK_STRIDE` calls.
+        the clock is only consulted every :attr:`TICK_STRIDE` steps.  A
+        join-stage step over ``n`` rows ticks ``n`` at once and consults
+        the clock exactly when one of ``n`` single ticks would have, so
+        a deadline stops a join where it stopped the per-row loop.
         """
         if self.deadline is None:
             return
-        self._ticks += 1
-        if self._ticks % self.TICK_STRIDE == 0 and \
+        self._ticks += n
+        if self._ticks % self.TICK_STRIDE < n and \
                 time.perf_counter() > self.deadline:
             raise QueryTimeout(
                 f"query exceeded its deadline after {self._ticks} steps")
@@ -175,12 +173,15 @@ class ExecContext:
 
         The budget is a memory-pressure proxy: operators call this
         wherever segments accumulate in collections whose size is not
-        bounded a priori (MaterializeNot/MaterializeKleene state, the
-        probe cache, the engine's result sink).
+        bounded a priori (the join stage's drains, Kleene frontiers, the
+        probe cache, the engine's result sink).  A charge of ``n`` that
+        crosses the budget stops where ``n`` single charges would: at
+        ``budget + 1`` segments charged.
         """
         self.segments_charged += n
         if self.segment_budget is not None \
                 and self.segments_charged > self.segment_budget:
+            self.segments_charged = self.segment_budget + 1
             raise ResourceBudgetExceeded(
                 f"query exceeded max_segments={self.segment_budget} "
                 f"({self.segments_charged} segments materialized)")
@@ -334,18 +335,22 @@ class PhysicalOperator(ABC):
              refs: Env) -> Iterator[Segment]:
         """Yield matching segments within ``sp`` given referenced segments."""
 
+    # trex: no-charge(an answer; the consumer that keeps it charges it)
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
-                    refs: Env) -> List[List[Segment]]:
-        """What :meth:`eval` yields for each of ``spaces``, in order.
+                    refs: Env) -> Batch:
+        """What :meth:`eval` yields for each of ``spaces``, as one batch
+        owned by their positions (:class:`~repro.exec.batch.Batch`).
 
         The probe operators hand all their probe spaces to a child in one
-        call (:meth:`probe_all`).  Leaves override this to enumerate and
-        evaluate every space's candidates together; the answer, counters
-        included, is always the per-space ``eval`` one.  With a fault
-        armed, an override's entry wrapper calls this default instead:
-        fault points live in the per-space call graph.
+        call (:meth:`probe_all`), and a join evaluates each child once
+        over all of its own spaces.  The batch-native operators override
+        this (:class:`SetOperator`, the condition leaves, the probe
+        operators, ``FilterOp``); the answer, counters included, is
+        always the per-space ``eval`` one.  This default answers space by
+        space: with a fault armed, an override's entry wrapper calls it
+        instead, since fault points live in the per-space call graph.
         """
-        return [list(self.eval(ctx, sp, refs)) for sp in spaces]
+        return Batch.of([list(self.eval(ctx, sp, refs)) for sp in spaces])
 
     def children(self) -> Tuple["PhysicalOperator", ...]:
         return ()
@@ -361,42 +366,6 @@ class PhysicalOperator(ABC):
         """Project the payload to what consumers above still need."""
         return segment.project_payload(self.publish)
 
-    def emit_starts(self, ctx: ExecContext, sp: SearchSpace,
-                    starts: Iterable[int],
-                    reach_of: Callable[[int, int], Dict[PayloadKey, Set[int]]]
-                    ) -> Iterator[Segment]:
-        """The join stage's emission loop: one step per distinct start.
-
-        ``reach_of(start, e_hi)`` returns payload key -> candidate ends for
-        one start.  The embedded window and the search space are applied
-        once per start, as an ``[e_lo, e_hi]`` clip (``end_range`` is exact
-        for point and time windows); a start whose clip is empty is never
-        expanded.  Every ``(start, end, payload)`` is built and yielded
-        exactly once, in sorted order, so emission never depends on set
-        layout.
-        """
-        tick, stats, series = ctx.tick, ctx.stats, ctx.series
-        end_range = self.window.end_range
-        for start in sorted(starts):
-            tick()
-            if not sp.s_lo <= start <= sp.s_hi:
-                continue
-            e_lo, e_hi = end_range(series, start)
-            e_lo, e_hi = max(e_lo, sp.e_lo), min(e_hi, sp.e_hi)
-            if e_lo > e_hi:
-                continue
-            reach = reach_of(start, e_hi)
-            for key in sorted(reach) if len(reach) > 1 else reach:
-                payload = dict(key) if key else None
-                ends = sorted(reach[key])
-                if ends and (ends[0] < e_lo or ends[-1] > e_hi):
-                    ends = ends[bisect_left(ends, e_lo):
-                                bisect_right(ends, e_hi)]
-                for end in ends:
-                    tick()
-                    stats["segments_emitted"] += 1
-                    yield Segment(start, end, payload)
-
     def emit_fresh(self, ctx: ExecContext,
                    seen: Set[Tuple[int, int, PayloadKey]],
                    found: Set[Tuple[int, int, PayloadKey]]
@@ -404,9 +373,9 @@ class PhysicalOperator(ABC):
         """Yield the ``(start, end, payload key)`` triples of ``found``
         this operator has not emitted yet, recording them in ``seen``.
 
-        The streaming (probe) operators' counterpart of
-        :meth:`emit_starts`: their probe space already enforces window and
-        search space, so only cross-probe duplicates remain to drop.
+        The probe operators' emission: their probe space already enforces
+        window and search space, so only cross-probe duplicates remain to
+        drop.
         """
         fresh = found - seen
         seen |= fresh
@@ -562,23 +531,21 @@ class ProbeOperator(PhysicalOperator):
              refs: Env) -> Iterator[Segment]:
         return (segment for _, segment in self._join(ctx, [sp], refs))
 
-    # trex: no-charge(the caller's probe memo charges every answered space)
+    # trex: no-charge(its consumer charges the batch it keeps)
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
-                    refs: Env) -> List[List[Segment]]:
+                    refs: Env) -> Batch:
         found: List[List[Segment]] = [[] for _ in spaces]
         for owner, segment in self._join(ctx, spaces, refs):
             found[owner].append(segment)
-        return found
+        return Batch.of(found)
 
+    # trex: no-charge(the driver's anchors are charged per job in probe_each)
     def _join(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
               refs: Env) -> Iterator[Tuple[int, Segment]]:
         """``(owner, segment)`` for every segment emitted for
         ``spaces[owner]``, per owner in per-space ``eval`` order."""
         self.check_refs(refs)
-        n = len(ctx.series)
-        owners = [sp.clamp(n) for sp in spaces]
-        live = [owner for owner, sp in enumerate(owners)
-                if not sp.is_empty()]
+        owners, live = clamp_spaces(ctx, spaces)
         if not live:
             return
         if len(owners) == 1:
@@ -611,43 +578,117 @@ class ProbeOperator(PhysicalOperator):
                     yield owner, segment
 
 
+class SetOperator(PhysicalOperator):
+    """An operator whose answer is a set, not a stream (Sections 4.3,
+    4.4): the sort-merge joins, WConcat, Kleene, ``MaterializeNot`` and
+    the window pad.
+
+    :meth:`answer` builds one owner-tagged :class:`Batch` for all the
+    spaces of a call, evaluating each child once over them
+    (:meth:`drain`) and clipping to window and space once per distinct
+    start (:meth:`clip`).  ``eval_spaces`` returns it, ticked and counted
+    per batch; ``eval`` is its one-owner case, streaming the finished
+    batch with one tick and one ``segments_emitted`` per segment.
+    """
+
+    def eval(self, ctx: ExecContext, sp: SearchSpace,
+             refs: Env) -> Iterator[Segment]:
+        yield from self.answer(ctx, [sp], refs).stream(ctx)
+
+    def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+                    refs: Env) -> Batch:
+        batch = self.answer(ctx, spaces, refs)
+        if batch.rows:
+            ctx.tick(batch.rows)
+            ctx.stats["segments_emitted"] += batch.rows
+        return batch
+
+    @abstractmethod
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
+        """The segments of every space, rows owned by space position."""
+
+    def drain(self, ctx: ExecContext, child: PhysicalOperator,
+              owners: Sequence[int], spaces: Sequence[SearchSpace],
+              refs: Env) -> Batch:
+        """``child``'s batch for ``spaces``, where ``spaces[i]`` is asked
+        on behalf of owner ``owners[i]``, retagged to those owners and
+        projected to what this operator publishes.  The join retains
+        every row, so the drain ticks and charges them: one charge per
+        batch, raising where per-row charges would.  With no space to
+        ask, the child is not entered at all."""
+        if not spaces:
+            return Batch.empty(0)
+        batch = child.eval_spaces(ctx, spaces, refs)
+        rows = batch.rows
+        if rows:
+            ctx.tick(rows)
+            if ctx.segment_budget is not None:
+                ctx.charge(rows)
+            if owners[-1] != len(owners) - 1:  # not the identity
+                batch = Batch(np.asarray(owners, np.int64)[batch.owners],
+                              batch.starts, batch.ends, batch.keys,
+                              batch.table, owners[-1] + 1)
+        return batch.project(self.publish)
+
+    def clip(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+             owners: np.ndarray, starts: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keep, e_lo, e_hi)`` per row: the ends a segment starting at
+        ``starts[i]`` may have under this operator's window and inside
+        ``spaces[owners[i]]``, and whether that range is non-empty.
+
+        ``WindowConjunction.end_range`` (exact for point and time
+        windows) runs once per distinct start inside some space; the
+        result applies to all rows as vector compares."""
+        end_range, series = self.window.end_range, ctx.series
+        if not len(starts):
+            return starts > 0, starts, starts
+        if len(spaces) == 1:
+            sp = spaces[0]
+            s_lo, s_hi, e_lo, e_hi = sp.s_lo, sp.s_hi, sp.e_lo, sp.e_hi
+            if s_lo == s_hi:  # one admissible start: one end_range call
+                lo, hi = end_range(series, s_lo)
+                lo, hi = max(lo, e_lo), min(hi, e_hi)
+                ctx.tick()
+                keep = starts == s_lo if lo <= hi \
+                    else np.zeros(len(starts), dtype=bool)
+                return (keep, np.full(len(starts), lo, np.int64),
+                        np.full(len(starts), hi, np.int64))
+        else:
+            s_lo, s_hi, e_lo, e_hi = np.array(
+                [(sp.s_lo, sp.s_hi, sp.e_lo, sp.e_hi) for sp in spaces],
+                dtype=np.int64)[owners].T
+        keep = (starts >= s_lo) & (starts <= s_hi)
+        firsts = distinct(np.sort(starts[keep]))
+        if not len(firsts):
+            return keep, starts, starts
+        ctx.tick(len(firsts))
+        ranges = np.array([end_range(series, start)
+                           for start in firsts.tolist()], dtype=np.int64)
+        at = np.minimum(np.searchsorted(firsts, starts), len(firsts) - 1)
+        e_lo = np.maximum(ranges[at, 0], e_lo)
+        e_hi = np.minimum(ranges[at, 1], e_hi)
+        return keep & (e_lo <= e_hi), e_lo, e_hi
+
+
+def clamp_spaces(ctx: ExecContext, spaces: Sequence[SearchSpace]
+                 ) -> Tuple[List[SearchSpace], List[int]]:
+    """The spaces clamped to the series, and the positions of those that
+    admit a segment (the live owners)."""
+    n = len(ctx.series)
+    owners = [sp.clamp(n) for sp in spaces]
+    return owners, [owner for owner, sp in enumerate(owners)
+                    if not sp.is_empty()]
+
+
+def owners_of(batch: Batch) -> List[int]:
+    """The owners holding at least one row of ``batch``, ascending."""
+    return distinct(batch.owners).tolist()
+
+
 def projected_key(segment: Segment, keep: FrozenSet[str]) -> PayloadKey:
     """Payload key of ``segment`` restricted to the names in ``keep``."""
     if not segment.payload:
         return ()
     return segment.project_payload(keep).payload_key()
-
-
-def adjacency(ctx: ExecContext, segments: Iterable[Segment],
-              keep: FrozenSet[str], shift: int = 0) -> Adjacency:
-    """Drain a child's stream into start -> payload key -> {end + shift}.
-
-    Payloads are projected to ``keep`` first, so segments differing only
-    in entries nobody above needs collapse here.  Every segment drained
-    is ticked and charged: the result is retained for the whole join.
-    """
-    groups: Adjacency = {}
-    tick, charge = ctx.tick, ctx.segment_budget is not None
-    for segment in segments:
-        tick()
-        if charge:
-            ctx.charge()
-        key = projected_key(segment, keep) if segment.payload else ()
-        start, end = segment.start, segment.end + shift
-        by_key = groups.get(start)
-        if by_key is None:
-            groups[start] = {key: {end}}
-        elif key in by_key:
-            by_key[key].add(end)
-        else:
-            by_key[key] = {end}
-    return groups
-
-
-def merged_key(left: PayloadKey, right: PayloadKey) -> PayloadKey:
-    """Key of the left payload updated with the right one (right wins)."""
-    if not (left and right):
-        return left or right
-    payload = dict(left)
-    payload.update(right)
-    return tuple(sorted(payload.items()))

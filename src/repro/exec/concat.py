@@ -17,21 +17,26 @@ classic disjoint point-variable join.
   window-only padding variable, pairing X and Y directly without
   materializing the padding segments.
 
-All of them join set-at-a-time (docs/VECTORIZATION.md, "Past the leaf"):
-children are held as start -> end-set adjacency, each distinct start
-unions the end-sets reachable through its join points, and the window and
-search space clip that union once per start.
+The sort-merge and WConcat joins work on owner-tagged batches
+(docs/VECTORIZATION.md, "Past the leaf: the join stage"): each child is
+evaluated once over all the operator's spaces, a left row finds its
+right partners by ``searchsorted`` on the right side's sorted
+``(owner, start)`` codes and is paired with them by a ragged
+``np.repeat``, and window and search space clip every row through one
+``end_range`` call per distinct start.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 
-from repro.exec.base import (Env, ExecContext, PayloadKey, PhysicalOperator,
-                             ProbeOperator, adjacency, merged_key,
-                             projected_key)
+import numpy as np
+
+from repro.exec.base import (Env, ExecContext, PhysicalOperator,
+                             ProbeOperator, SetOperator, clamp_spaces,
+                             owners_of, projected_key)
+from repro.exec.batch import (Batch, PayloadKey, expand, joined, merged_key,
+                              sorted_codes)
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -53,35 +58,36 @@ class _BinaryConcat(PhysicalOperator):
         return f"{self.name}(gap={self.gap})"
 
 
-class SortMergeConcat(_BinaryConcat):
+class SortMergeConcat(SetOperator, _BinaryConcat):
     """Evaluate both children independently, join on the boundary point."""
 
     name = "SortMergeConcat"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        # Left ends are stored as the right start they join to.
-        lefts = adjacency(ctx, self.left.eval(ctx, sp.concat_left(self.gap),
-                                              refs), self.publish, self.gap)
-        if not lefts:
-            return  # early termination: no need to evaluate the right
-        rights = adjacency(ctx, self.right.eval(
-            ctx, sp.concat_right(self.gap), refs), self.publish)
-
-        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
-            reach = defaultdict(set)
-            for lkey, joins in lefts[start].items():
-                for join in joins:
-                    for rkey, ends in rights.get(join, {}).items():
-                        ctx.tick()
-                        reach[merged_key(lkey, rkey)] |= ends
-            return reach
-
-        yield from self.emit_starts(ctx, sp, lefts, reach_of)
+        owners, live = clamp_spaces(ctx, spaces)
+        lefts = self.drain(ctx, self.left, live, [
+            owners[owner].concat_left(self.gap) for owner in live], refs)
+        if not lefts.rows:
+            return Batch.empty(len(spaces))
+        # Early termination per owner: no left rows, no right child.
+        asked = owners_of(lefts)
+        rights = self.drain(ctx, self.right, asked, [
+            owners[owner].concat_right(self.gap) for owner in asked], refs)
+        if not rights.rows:
+            return Batch.empty(len(spaces))
+        keep, e_lo, e_hi = self.clip(ctx, owners, lefts.owners,
+                                     lefts.starts)
+        stride = len(ctx.series) + 2
+        order, codes = sorted_codes(rights.owners * stride + rights.starts)
+        # A left row joins the right rows starting where it ends (+ gap).
+        joins = lefts.owners * stride + lefts.ends + self.gap
+        rows = np.flatnonzero(keep)
+        return join_ends(ctx, len(spaces), lefts, rights, order, rows,
+                         np.searchsorted(codes, joins[rows], "left"),
+                         np.searchsorted(codes, joins[rows], "right"),
+                         e_lo, e_hi)
 
 
 class RightProbeConcat(ProbeOperator, _BinaryConcat):
@@ -146,7 +152,7 @@ class LeftProbeConcat(ProbeOperator, _BinaryConcat):
                 for left in lefts}
 
 
-class WildWindowConcat(PhysicalOperator):
+class WildWindowConcat(SetOperator):
     """Fused ``X PAD Y`` concatenation around a window-only padding variable.
 
     Pairs X segments with Y segments directly: a pair joins when the
@@ -175,42 +181,58 @@ class WildWindowConcat(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        # Left ends are stored as the pad start that follows them.
-        lefts = adjacency(ctx, self.left.eval(ctx, SearchSpace(
-            sp.s_lo, sp.s_hi, sp.s_lo, sp.e_hi), refs),
-            self.publish, self.gap_left)
-        if not lefts:
-            return
-        rights = adjacency(ctx, self.right.eval(ctx, SearchSpace(
-            sp.s_lo, sp.e_hi, sp.e_lo, sp.e_hi), refs), self.publish)
-        right_starts = sorted(rights)
+        owners, live = clamp_spaces(ctx, spaces)
+        lefts = self.drain(ctx, self.left, live, [
+            SearchSpace(sp.s_lo, sp.s_hi, sp.s_lo, sp.e_hi)
+            for sp in map(owners.__getitem__, live)], refs)
+        if not lefts.rows:
+            return Batch.empty(len(spaces))
+        asked = owners_of(lefts)
+        rights = self.drain(ctx, self.right, asked, [
+            SearchSpace(sp.s_lo, sp.e_hi, sp.e_lo, sp.e_hi)
+            for sp in map(owners.__getitem__, asked)], refs)
+        if not rights.rows:
+            return Batch.empty(len(spaces))
+        keep, e_lo, e_hi = self.clip(ctx, owners, lefts.owners,
+                                     lefts.starts)
         n = len(ctx.series)
+        # The pad starts right after the left row; its admissible ends
+        # (one pad end_range per distinct pad start) place the right
+        # starts gap_right past them.
+        pads = lefts.ends + self.gap_left
+        rows = np.flatnonzero(keep & (pads < n))
+        pad_starts, at = np.unique(pads[rows], return_inverse=True)
+        ctx.tick(len(pad_starts))
+        end_range, series = self.pad_window.end_range, ctx.series
+        ranges = np.array([end_range(series, pad)
+                           for pad in pad_starts.tolist()],
+                          dtype=np.int64).reshape(-1, 2)[at.reshape(-1)]
+        stride = n + 3
+        first = np.minimum(np.maximum(ranges[:, 0], pads[rows])
+                           + self.gap_right, n + 1)
+        last = ranges[:, 1] + self.gap_right
+        order, codes = sorted_codes(rights.owners * stride + rights.starts)
+        base = lefts.owners[rows] * stride
+        return join_ends(ctx, len(spaces), lefts, rights, order, rows,
+                         np.searchsorted(codes, base + first, "left"),
+                         np.searchsorted(codes, base + last, "right"),
+                         e_lo, e_hi)
 
-        def reach_of(start: int, e_hi: int) -> Dict[PayloadKey, Set[int]]:
-            reach = defaultdict(set)
-            for lkey, pad_starts in lefts[start].items():
-                for pad_start in pad_starts:
-                    ctx.tick()
-                    if pad_start >= n:
-                        continue
-                    # Admissible pad end positions; right starts sit
-                    # gap_right past them.
-                    pad_lo, pad_hi = self.pad_window.end_range(ctx.series,
-                                                               pad_start)
-                    lo = bisect.bisect_left(
-                        right_starts, max(pad_lo, pad_start) + self.gap_right)
-                    hi = bisect.bisect_right(right_starts,
-                                             pad_hi + self.gap_right)
-                    for right_start in right_starts[lo:hi]:
-                        for rkey, ends in rights[right_start].items():
-                            ctx.tick()
-                            reach[merged_key(lkey, rkey)] |= ends
-            return reach
 
-        yield from self.emit_starts(ctx, sp, lefts, reach_of)
+def join_ends(ctx: ExecContext, spaces: int, lefts: Batch, rights: Batch,
+              order: np.ndarray, rows: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, e_lo: np.ndarray, e_hi: np.ndarray) -> Batch:
+    """Left row ``rows[i]`` joined with the right rows ``order[lo[i]:
+    hi[i]]``: ``(owner, left start, right end, merged payload)`` for each
+    pair whose end lies in the left row's clip ``[e_lo, e_hi]``."""
+    def blocks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for at, matched in expand(ctx, lo, hi):
+            left, right = rows[at], order[matched]
+            ends = rights.ends[right]
+            fits = (ends >= e_lo[left]) & (ends <= e_hi[left])
+            yield left[fits], right[fits]
+
+    return joined(ctx, spaces, lefts, rights, blocks())

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.base import Env, ExecContext, PhysicalOperator, clamp_spaces
+from repro.exec.batch import Batch
 from repro.lang import expr as E
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
@@ -49,23 +50,20 @@ class FilterOp(PhysicalOperator):
             return
         yield from self._filter(ctx, self.child.eval(ctx, sp, refs), refs)
 
+    # trex: no-charge(its consumer charges the batch it keeps)
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
-                    refs: Env) -> List[List[Segment]]:
-        """Forwarded: the child answers every non-empty space in one
-        ``eval_spaces`` call (a probed probe operator coalesces), and
-        each space's segments are filtered in its own order."""
+                    refs: Env) -> Batch:
+        """The child answers every non-empty space in one
+        ``eval_spaces`` call, and each space's segments, read through
+        the batch's per-owner view, are filtered in their own order."""
         self.check_refs(refs)
-        n = len(ctx.series)
-        owners = [sp.clamp(n) for sp in spaces]
-        live = [owner for owner, sp in enumerate(owners)
-                if not sp.is_empty()]
+        owners, live = clamp_spaces(ctx, spaces)
         found: List[List[Segment]] = [[] for _ in spaces]
-        if not live:
-            return found
-        for owner, segments in zip(live, self.child.eval_spaces(
-                ctx, [owners[owner] for owner in live], refs)):
-            found[owner] = list(self._filter(ctx, segments, refs))
-        return found
+        if live:
+            for owner, segments in zip(live, self.child.eval_spaces(
+                    ctx, [owners[owner] for owner in live], refs)):
+                found[owner] = list(self._filter(ctx, segments, refs))
+        return Batch.of(found)
 
     def _filter(self, ctx: ExecContext, segments: Iterable[Segment],
                 refs: Env) -> Iterator[Segment]:

@@ -9,7 +9,9 @@ record per operator, keyed by ``op_id``:
 
 * ``eval_calls`` — how many times the operator's ``eval`` or
   ``eval_spaces`` was entered (a probe operator answers all its misses
-  in one ``eval_spaces`` call per needed-refs group, which counts once);
+  in one ``eval_spaces`` call per needed-refs group, and a set operator
+  asks each child once for all its spaces: a coalesced entry counts
+  once);
 * ``segments_out`` — segments the operator emitted;
 * ``segments_in`` — segments pulled from children (derived at
   :meth:`RunMetrics.finalize` as the sum of the children's emissions);
@@ -48,6 +50,7 @@ from typing import (Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence)
 
 from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.batch import Batch
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
 
@@ -269,7 +272,7 @@ class RunMetrics:
 
     def observe_spaces(self, op: PhysicalOperator, method: Callable,
                        ctx: ExecContext, spaces: Sequence[SearchSpace],
-                       refs: Env) -> List[List[Segment]]:
+                       refs: Env) -> Batch:
         """``method(op, ctx, spaces, refs)`` — an ``eval_spaces``
         override — as one entry answering every space of the call."""
         record = self.for_op(op)
@@ -279,7 +282,7 @@ class RunMetrics:
         t0 = time.perf_counter()
         found = method(op, ctx, spaces, refs)
         record.time_seconds += time.perf_counter() - t0
-        record.segments_out += sum(map(len, found))
+        record.segments_out += found.rows
         return found
 
 

@@ -7,7 +7,9 @@ per candidate segment with an exact search space, closing the child's
 iterator after the first hit.  The optimizer picks between them based on
 the number of candidates (Figure 10).  Both walk the windowed
 candidates through the leaves' enumerator
-(:func:`repro.exec.vector.candidate_runs`).
+(:func:`repro.exec.vector.candidate_runs`); :class:`MaterializeNot`
+answers all its spaces at once, as an owner-tagged batch, while
+:class:`ProbeNot` stays per space: its early exit is per candidate.
 
 Thanks to the ``refs`` argument, the negated sub-pattern may freely
 reference variables matched outside the Not — no post-processing needed.
@@ -15,10 +17,14 @@ reference variables matched outside the Not — no post-processing needed.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import FrozenSet, Iterator, Sequence
+
+import numpy as np
 
 from repro.exec import vector
-from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.base import (Env, ExecContext, PhysicalOperator, SetOperator,
+                             clamp_spaces)
+from repro.exec.batch import Batch
 from repro.lang.windows import WindowConjunction
 from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
@@ -35,29 +41,24 @@ class _NotBase(PhysicalOperator):
         return (self.child,)
 
 
-class MaterializeNot(_NotBase):
+class MaterializeNot(SetOperator, _NotBase):
     """Materialize all child matches, emit the windowed complement."""
 
     name = "MaterializeNot"
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
         self.check_refs(refs)
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        matched: Set[Tuple[int, int]] = set()
-        for segment in self.child.eval(ctx, sp, refs):
-            ctx.tick()
-            if ctx.segment_budget is not None:
-                ctx.charge()
-            matched.add(segment.bounds)
-        for start, end in vector.pairs(
-                *vector.candidate_runs(self.window, ctx, sp)):
-            ctx.tick()
-            if (start, end) not in matched:
-                ctx.stats["segments_emitted"] += 1
-                yield Segment(start, end)
+        owners, live = clamp_spaces(ctx, spaces)
+        matched = self.drain(ctx, self.child, live,
+                             [owners[owner] for owner in live], refs)
+        owner, starts, ends = vector.candidates(self.window, ctx, owners,
+                                                live)
+        n = len(ctx.series)
+        free = ~np.isin((owner * n + starts) * n + ends,
+                        (matched.owners * n + matched.starts) * n
+                        + matched.ends)
+        return Batch.leaf(owner[free], starts[free], ends[free], len(spaces))
 
 
 class ProbeNot(_NotBase):

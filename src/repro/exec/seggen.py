@@ -19,10 +19,12 @@ through ``eval_spaces``, where the choice is made on the call's total
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 from repro.exec import vector
-from repro.exec.base import Env, ExecContext, PhysicalOperator
+from repro.exec.base import (Env, ExecContext, PhysicalOperator, SetOperator,
+                             clamp_spaces)
+from repro.exec.batch import Batch
 from repro.lang import expr as E
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction
@@ -30,7 +32,7 @@ from repro.plan.search_space import SearchSpace
 from repro.timeseries.segment import Segment
 
 
-class SegGenWindow(PhysicalOperator):
+class SegGenWindow(SetOperator):
     """Emit all windowed segments in the search space (no condition)."""
 
     name = "SegGenWindow"
@@ -40,20 +42,14 @@ class SegGenWindow(PhysicalOperator):
         super().__init__(window, publish=publish)
         self.var_name = var_name
 
-    def eval(self, ctx: ExecContext, sp: SearchSpace,
-             refs: Env) -> Iterator[Segment]:
-        sp = sp.clamp(len(ctx.series))
-        if sp.is_empty():
-            return
-        payload_name = self.var_name if self.var_name in self.publish else None
-        for start, end in vector.pairs(
-                *vector.candidate_runs(self.window, ctx, sp)):
-            ctx.tick()
-            ctx.stats["segments_emitted"] += 1
-            if payload_name is not None:
-                yield Segment(start, end, {payload_name: (start, end)})
-            else:
-                yield Segment(start, end)
+    # trex: no-charge(an answer; the consumer that keeps it charges it)
+    def answer(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
+               refs: Env) -> Batch:
+        owners, live = clamp_spaces(ctx, spaces)
+        return Batch.leaf(*vector.candidates(self.window, ctx, owners, live),
+                          len(spaces),
+                          self.var_name if self.var_name in self.publish
+                          else None)
 
     def describe(self) -> str:
         label = f"({self.var_name})" if self.var_name else ""
@@ -94,12 +90,14 @@ class _ConditionLeaf(PhysicalOperator):
                                   self.vector_provider)
         if batched is None:
             self.note_scalar(ctx, record)
-            batched = self.scalar(ctx, vector.pairs(*vector.candidate_runs(
-                self.window, ctx, sp, not self.var.is_segment)), refs, record)
+            batched = self.segments(self.scalar(
+                ctx, vector.pairs(*vector.candidate_runs(
+                    self.window, ctx, sp, not self.var.is_segment)),
+                refs, record))
         yield from batched
 
     def eval_spaces(self, ctx: ExecContext, spaces: Sequence[SearchSpace],
-                    refs: Env) -> List[List[Segment]]:
+                    refs: Env) -> Batch:
         self.check_refs(refs)
         metrics = ctx.metrics
         return vector.eval_spaces(
@@ -117,12 +115,11 @@ class _ConditionLeaf(PhysicalOperator):
                     self.var, self.vector_provider, ctx.registry)[1]
 
     def scalar(self, ctx: ExecContext, candidates: Iterable[Tuple[int, int]],
-               refs: Env, record) -> Iterator[Segment]:
+               refs: Env, record) -> Iterator[Tuple[int, int]]:
         """The scalar evaluator: one interpreted condition walk per
-        ``(start, end)`` candidate."""
+        ``(start, end)`` candidate; yields the bounds of each hit."""
         var = self.var
         provider = self._provider(ctx)
-        publish_self = var.name in self.publish
         for start, end in candidates:
             ctx.tick()
             ectx = E.EvalContext(ctx.series, start, end, variable=var.name,
@@ -133,10 +130,17 @@ class _ConditionLeaf(PhysicalOperator):
                 record.counters["condition_evals"] += 1
             if E.evaluate_condition(var.condition, ectx):
                 ctx.stats["segments_emitted"] += 1
-                if publish_self:
-                    yield Segment(start, end, {var.name: (start, end)})
-                else:
-                    yield Segment(start, end)
+                yield start, end
+
+    # trex: no-tick(one segment per hit of an evaluator that ticks)
+    def segments(self, hits: Iterable[Tuple[int, int]]) -> Iterator[Segment]:
+        """The hits as segments, publishing the variable if asked to."""
+        if self.var.name not in self.publish:
+            for start, end in hits:
+                yield Segment(start, end)
+        else:
+            for start, end in hits:
+                yield Segment(start, end, {self.var.name: (start, end)})
 
     def describe(self) -> str:
         return f"{self.name}({self.var.name})"

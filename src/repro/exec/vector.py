@@ -54,6 +54,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
 
 import numpy as np
 
+from repro.exec.batch import Batch
 from repro.lang import expr as E
 from repro.testing import faults as _faults
 from repro.timeseries.segment import Segment
@@ -702,6 +703,24 @@ def _expand(block: List[Run], spans: List[Tuple[int, int, int]],
     return owners, starts, ends
 
 
+def candidates(window: "WindowConjunction", ctx: "ExecContext",
+               spaces: Sequence["SearchSpace"], live: Sequence[int]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(owners, starts, ends)``: every candidate ``window`` admits in
+    each live space (clamped, non-empty), as arrays in owner order and
+    each space's candidate order, ticked once per candidate."""
+    blocks = [_expand(*block) for block in _blocks(
+        (owner, *candidate_runs(window, ctx, spaces[owner]))
+        for owner in live)]
+    if not blocks:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    owners, starts, ends = (np.concatenate(column)
+                            for column in zip(*blocks))
+    ctx.tick(len(starts))
+    return owners, starts, ends
+
+
 # ---------------------------------------------------------------------------
 # Batch evaluation with suspension-exact counter flushes
 # ---------------------------------------------------------------------------
@@ -799,7 +818,7 @@ def try_eval(op: "PhysicalOperator", ctx: "ExecContext", sp: "SearchSpace",
             break
     else:
         op.note_scalar(ctx, record)
-        return op.scalar(ctx, pairs(order, head), refs, record)
+        return op.segments(op.scalar(ctx, pairs(order, head), refs, record))
     if record is not None:
         record.batch_calls += 1
     payload_name = op.var.name if op.var.name in op.publish else None
@@ -823,20 +842,21 @@ def _leaf_bind(op: "PhysicalOperator", ctx: "ExecContext",
     return bound
 
 
-# trex: no-charge(the caller's probe memo charges every answered space)
+# trex: no-charge(the caller charges the batch it keeps)
 def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
                 spaces: Sequence["SearchSpace"], refs: "Env", record,
-                provider_kind: str) -> List[List[Segment]]:
+                provider_kind: str) -> Batch:
     """A condition leaf's answer for each of ``spaces``, in one call.
 
-    ``found[i]`` is what ``op.eval(ctx, spaces[i], refs)`` yields, in
-    its order, and the counters move as those evals would move them.
-    The spaces' candidate runs are concatenated into owner-tagged
-    batches (``owner`` = the space's position), the evaluator is picked
-    from the coalesced total against :data:`BATCH_CROSSOVER` — so many
-    one-candidate probes reach the batch kernels together — and the hits
-    are split back per owner.  The call is materialized, never abandoned,
-    so counters are flushed once per batch.
+    Owner ``i`` of the batch holds what ``op.eval(ctx, spaces[i], refs)``
+    yields, in its order, and the counters move as those evals would
+    move them.  The spaces' candidate runs are concatenated into
+    owner-tagged batches (``owner`` = the space's position), the
+    evaluator is picked from the coalesced total against
+    :data:`BATCH_CROSSOVER` — so many one-candidate probes reach the
+    batch kernels together — and the hits stay owner-tagged arrays.
+    The call is materialized, never abandoned, so counters are flushed
+    once per batch.
     """
     n = len(ctx.series)
     parts: List[Tuple[int, int, List[Run]]] = []
@@ -851,19 +871,20 @@ def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
         runs = list(runs)
         total += sum(hi - lo + 1 for _, lo, hi in runs)
         parts.append((owner, order, runs))
-    found: List[List[Segment]] = [[] for _ in spaces]
     bound = _leaf_bind(op, ctx, provider_kind) \
         if total >= BATCH_CROSSOVER else None
+    name = op.var.name if op.var.name in op.publish else None
     if bound is None:
         op.note_scalar(ctx, record)
-        for owner, order, runs in parts:
-            found[owner] = list(op.scalar(ctx, pairs(order, runs), refs,
-                                          record))
-        return found
+        hits = np.array([(owner, start, end) for owner, order, runs in parts
+                         for start, end in op.scalar(
+                             ctx, pairs(order, runs), refs, record)],
+                        dtype=np.int64).reshape(-1, 3).T
+        return Batch.leaf(hits[0], hits[1], hits[2], len(spaces), name)
     if record is not None:
         record.batch_calls += 1
-    payload_name = op.var.name if op.var.name in op.publish else None
     stats = ctx.stats
+    hit_columns = []
     for owners, starts, ends in _batches(ctx, parts):
         state, matched = _evaluate(ctx, bound, starts, ends, refs)
         hits = matched.nonzero()[0]
@@ -876,14 +897,11 @@ def eval_spaces(op: "PhysicalOperator", ctx: "ExecContext",
                       if value})
         if record is not None:
             record.counters["condition_evals"] += len(starts)
-        for owner, start, end in zip(owners[hits].tolist(),
-                                     starts[hits].tolist(),
-                                     ends[hits].tolist()):
-            ctx.tick()
-            found[owner].append(
-                Segment(start, end, {payload_name: (start, end)})
-                if payload_name is not None else Segment(start, end))
-    return found
+        ctx.tick(len(hits))
+        hit_columns.append((owners[hits], starts[hits], ends[hits]))
+    owners, starts, ends = (np.concatenate(column)
+                            for column in zip(*hit_columns))
+    return Batch.leaf(owners, starts, ends, len(spaces), name)
 
 
 # trex: no-tick(the planner's sampler checks its deadlines per batch)

@@ -173,6 +173,36 @@ def test_ticked_loop_is_clean():
     assert codes(report) == []
 
 
+BATCH_DRAIN = """
+class BadJoin:
+    def eval(self, ctx, sp, refs):
+        lefts = self.left.eval_spaces(ctx, [sp], refs)
+        ctx.tick(lefts.rows)
+        return iter(lefts.select(lefts.starts < lefts.ends))
+"""
+
+BATCH_BUILD = """
+class BadJoin:
+    def eval(self, ctx, sp, refs):
+        ctx.tick()
+        return Batch.leaf(self.owners, self.starts, self.ends, 1).stream(ctx)
+"""
+
+
+@pytest.mark.parametrize("source", [BATCH_DRAIN, BATCH_BUILD],
+                         ids=["keeps-eval-spaces", "builds-batch"])
+def test_uncharged_batch_drain_detected(source):
+    """A drain that keeps a child's batch, or builds one, holds every
+    row at once without a loop: TRX302 must see it all the same."""
+    assert codes(lint(source)) == ["TRX302"]
+
+
+def test_charged_batch_drain_is_clean():
+    assert codes(lint(BATCH_DRAIN.replace(
+        "ctx.tick(lefts.rows)",
+        "ctx.tick(lefts.rows)\n        ctx.charge(lefts.rows)"))) == []
+
+
 def test_charged_accumulation_is_clean():
     report = lint("""
     class GoodOp:

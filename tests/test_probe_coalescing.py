@@ -3,15 +3,20 @@
 A probe operator drains its driving child and hands every probe space to
 the probed child in one ``eval_spaces`` call
 (``PhysicalOperator.probe_all``); probed itself, it answers all its
-spaces in one such drain (``ProbeOperator``).
+spaces in one such drain (``ProbeOperator``).  The join stage's set
+operators (sort-merge Concat/And/Or, WConcat, Kleene, ``MaterializeNot``,
+the window pad) answer all the spaces of a call with one owner-tagged
+batch (``SetOperator``).
 The contract under test, for each leaf kind on every template variable,
-and for each probe operator (bare, under a ``FilterOp``, probing another
-probe operator) over template leaves: ``op.eval_spaces(ctx, spaces,
-refs)`` equals
+for each probe operator (bare, under a ``FilterOp``, probing another
+probe operator) and for each set operator (bare, and probed by each probe
+operator) over template leaves: ``op.eval_spaces(ctx, spaces, refs)``,
+read through its per-owner view, equals
 ``[list(op.eval(ctx, sp, refs)) for sp in spaces]`` — segments, payloads,
-order, ``ctx.stats`` and per-operator counters — under either evaluator
-and on either side of ``BATCH_CROSSOVER`` (docs/VECTORIZATION.md,
-"Coalesced probes").  Spaces come from a fixed-seed generator.
+order, ``ctx.stats``, per-operator counters and the segments charged —
+under either evaluator and on either side of ``BATCH_CROSSOVER``
+(docs/VECTORIZATION.md, "Coalesced probes").  Spaces come from a
+fixed-seed generator.
 """
 
 import numpy as np
@@ -20,13 +25,16 @@ import pytest
 from repro.datasets import load
 from repro.exec import vector
 from repro.errors import ResourceBudgetExceeded
-from repro.exec.and_or import LeftProbeAnd, RightProbeAnd
+from repro.exec.and_or import (LeftProbeAnd, RightProbeAnd, SortMergeAnd,
+                               SortMergeOr)
 from repro.exec.base import ExecContext
-from repro.exec.concat import LeftProbeConcat, RightProbeConcat
+from repro.exec.concat import (LeftProbeConcat, RightProbeConcat,
+                               SortMergeConcat, WildWindowConcat)
 from repro.exec.filter_op import FilterOp
+from repro.exec.kleene import MaterializeKleene
 from repro.exec.metrics import RunMetrics
 from repro.exec.seggen import SegGenFilter, SegGenIndexing, SegGenWindow
-from repro.exec.not_op import ProbeNot
+from repro.exec.not_op import MaterializeNot, ProbeNot
 from repro.lang.parser import parse_condition
 from repro.lang.query import VarDef
 from repro.lang.windows import WindowConjunction, WindowSpec
@@ -185,6 +193,103 @@ def test_probe_operators_answer_spaces_like_eval(template, vectorize):
         want = answer(op, series, spaces, refs, vectorize, False)
         got = answer(op, series, spaces, refs, vectorize, True)
         assert got == want, kind
+
+
+def set_operators(template):
+    """Every set operator family over two of the template's condition
+    leaves (payloads published, so joins merge and project them), with
+    the series and the external references they need."""
+    query = template.compile(template.param_sets()[0])
+    names = [name for name in sorted(query.variables)
+             if query.variables[name].condition is not None][:2]
+    a_name, b_name = (names * 2)[:2]
+    a_var, series, refs = setting(template, a_name)
+    b_var, _, b_refs = setting(template, b_name)
+    refs = {**b_refs, **refs}
+    a = SegGenIndexing(a_var, a_var.window_conjunction,
+                       publish=frozenset({a_name}))
+    b = SegGenFilter(b_var, b_var.window_conjunction,
+                     publish=frozenset({b_name}))
+    plain = SegGenFilter(b_var, b_var.window_conjunction)
+    requires = a.requires | b.requires
+    both = a.publish | b.publish
+    window = WindowConjunction([WindowSpec.point(1, 25)])
+    pad = WindowConjunction([WindowSpec.point(0, 5)])
+    wild = WindowConjunction.wild()
+    ops = {
+        "SortMergeConcat": SortMergeConcat(a, b, 0, window, publish=both,
+                                           requires=requires),
+        "SortMergeConcat/gap1": SortMergeConcat(
+            a, b, 1, window, publish=frozenset({b_name}),
+            requires=requires),
+        "SortMergeAnd": SortMergeAnd(a, b, window, publish=both,
+                                     requires=requires),
+        "SortMergeOr": SortMergeOr(a, b, window, publish=both,
+                                   requires=requires),
+        "WildWindowConcat": WildWindowConcat(a, b, pad, window,
+                                             publish=both,
+                                             requires=requires),
+        "MaterializeKleene": MaterializeKleene(plain, 1, None, 0, window,
+                                               requires=requires),
+        "MaterializeKleene/capped": MaterializeKleene(
+            plain, 2, 3, 1, window, requires=requires, window_aware=False),
+        "MaterializeNot": MaterializeNot(plain, pad, requires=requires),
+        "SegGenWindow": SegGenWindow(pad, "W", publish=frozenset({"W"})),
+    }
+    ops["nested"] = SortMergeConcat(
+        ops["SortMergeOr"], ops["MaterializeKleene"], 0, wild,
+        publish=both, requires=requires)
+    return ops, series, refs
+
+
+@pytest.mark.parametrize("vectorize", [True, False],
+                         ids=["vector", "scalar"])
+@pytest.mark.parametrize("template", ALL_TEMPLATES, ids=lambda t: t.name)
+def test_set_operators_answer_spaces_like_eval(template, vectorize):
+    """A set operator handed many spaces evaluates each child once over
+    all of them and answers every owner with one batch — exact, one-start,
+    one-end, empty, out-of-range and duplicate spaces alike — yet each
+    space gets what a per-space ``eval`` yields, counters and charges
+    included; probed by each probe operator, it answers the probe's
+    spaces in one call with the same result."""
+    ops, series, refs = set_operators(template)
+    spaces = probe_spaces(len(series), 4)
+    driver = SegGenWindow(WindowConjunction([WindowSpec.point(0, 3)]))
+    window = WindowConjunction([WindowSpec.point(1, 30)])
+    few = spaces[:15] + spaces[-3:]  # every shape, duplicates too
+    for kind, op in ops.items():
+        # The scalar loop is slow: it sees every shape, not every space.
+        mine = spaces if vectorize else few
+        want = answer(op, series, mine, refs, vectorize, False)
+        got = answer(op, series, mine, refs, vectorize, True)
+        assert got == want, kind
+        if not vectorize:
+            continue
+        hosts = probe_families(driver, op, window)
+        for family in ("RightProbeConcat", "LeftProbeAnd"):
+            host = hosts[family]
+            host.requires = op.requires
+            want = answer(host, series, few, refs, vectorize, False)
+            got = answer(host, series, few, refs, vectorize, True)
+            assert got == want, (kind, family)
+
+
+def test_a_probed_set_operator_evaluates_each_child_once():
+    """Probed, a sort-merge join is entered once for all its probe
+    spaces and so is each of its children, where per-space entry made
+    one call per anchor."""
+    template = next(t for t in ALL_TEMPLATES if t.name == "head_shldr")
+    ops, series, refs = set_operators(template)
+    op = ops["SortMergeAnd"]
+    host = RightProbeAnd(SegGenWindow(WindowConjunction(
+        [WindowSpec.point(2, 9)])), op, WindowConjunction.wild())
+    metrics = RunMetrics()
+    ctx = ExecContext(series, metrics=metrics)
+    list(host.eval(ctx, SearchSpace.full(len(series)), refs))
+    calls = [metrics.ops[child.op_id].eval_calls
+             for child in (op, op.left, op.right)]
+    assert calls == [1, 1, 1]
+    assert metrics.ops[op.op_id].spaces > 1
 
 
 def test_a_probed_probe_operator_drives_once():
