@@ -12,10 +12,11 @@ one :class:`Batch`: four int64 columns, one row per segment.
   key id ranks payloads exactly as sorting the keys would.  Payload-free
   rows all carry the key of ``()``.
 
-A batch-native operator never holds a :class:`Segment`: the join stage
-(``repro.exec.base.SetOperator``) sorts its rows on ``(owner, start, key,
-end)``, which is the order the per-space join always emitted in, and
-deduplicates within an owner.  Segments are built in one place, the
+A batch-native operator never holds a :class:`Segment`.  The joins and
+Kleene (``repro.exec.base.SetOperator``) sort their rows on ``(owner,
+start, key, end)``, which is the order the per-space join always emitted
+in, and deduplicate within an owner; the leaves, the window pad and
+``MaterializeNot`` keep their candidate order.  Segments are built in one place, the
 per-owner view (iterating a batch, :meth:`Batch.stream`), for the
 consumers that still work on objects: the probe operators, ``FilterOp``
 and the engine's sink.  A batch built from such a stream
@@ -290,8 +291,9 @@ def ordered(ctx: "ExecContext", spaces: int, owners: np.ndarray,
 
     The columns are packed into one int64 code when they fit (a plain
     sort then orders and groups them), else lexsorted."""
-    if not len(starts):
-        return Batch.empty(spaces)
+    if len(starts) < 2:  # already in order
+        return Batch(owners, starts, ends, np.zeros(len(starts), np.int64)
+                     if keys is None else keys, table, spaces)
     n = len(ctx.series) + 2
     width = len(table)
     if spaces * width * n * n >= 1 << 62:
